@@ -9,6 +9,7 @@ emitted as one JSON object on stderr.  Set DP3_LOG=debug for tracebacks.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import os
 import sys
@@ -62,10 +63,14 @@ def _parse_complex(text: str) -> complex:
     try:
         parts = text.split(",")
         if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
-        return complex(text)
+            value = complex(float(parts[0]), float(parts[1]))
+        else:
+            value = complex(text)
     except ValueError as exc:
         raise _ValidationError(f"cannot parse complex number {text!r}") from exc
+    if not cmath.isfinite(value):
+        raise _ValidationError(f"complex number {text!r} is not finite")
+    return value
 
 
 def _emit(payload, args) -> None:
@@ -78,8 +83,9 @@ def _emit(payload, args) -> None:
 
 
 def _check_tol(tol: float) -> float:
-    if not (1e-13 <= tol <= 1e-6):
-        raise _ValidationError("tolerance must lie in [1e-13, 1e-6]")
+    lo, hi = ode._TOL_RANGE
+    if not (lo <= tol <= hi):
+        raise _ValidationError(f"tolerance must lie in [{lo}, {hi}]")
     return tol
 
 
@@ -193,6 +199,8 @@ def _cmd_integrate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.tau0_steps < 1 or args.tau1_steps < 1:
+        raise _ValidationError("--tau0-steps and --tau1-steps must be at least 1")
     pt = _load_point(args.point)
     params = _params_from(args)
     rep = connection.verify_connection(

@@ -90,8 +90,7 @@ def fit_large_tau(traj: Trajectory, params: EquationParams,
         ])
         sol, *_ = np.linalg.lstsq(basis, osc, rcond=None)
         resid = basis @ sol - osc
-        cond = float(np.linalg.cond(basis))
-        return sol, resid, cond
+        return sol, resid, basis
 
     # initial nu + 1: slope of the forward-component envelope in ln theta.
     # Project out each exponential locally over half-overlapping windows.
@@ -126,7 +125,8 @@ def fit_large_tau(traj: Trajectory, params: EquationParams,
     fit = least_squares(residual_vec, [nu0.real, nu0.imag], method="lm",
                         xtol=1e-14, ftol=1e-14)
     nu1 = complex(fit.x[0], fit.x[1])
-    sol, resid, cond = weights_for(nu1)
+    sol, resid, basis = weights_for(nu1)
+    cond = float(np.linalg.cond(basis))
     osc_part = np.abs(np.exp(nu1 * np.log(theta)) * sol[0]) \
         + np.abs(np.exp(-nu1 * np.log(theta)) * sol[1])
     osc_amp = float(np.max(osc_part))
@@ -195,6 +195,8 @@ def verify_connection(pt: MonodromyPoint, params: EquationParams,
     is known (then only the large side is under test and the small-chart
     conditions are not required).
     """
+    if tau0_steps < 1 or tau1_steps < 1:
+        raise ConditionViolationError("tau0_steps and tau1_steps must be at least 1")
     sc = None if seed_state is not None else small_tau_chart(pt, eps1, params)
     lc = large_tau_chart(pt, eps1, params)
     phase = cmath.exp(1j * math.pi * eps1)
@@ -228,7 +230,6 @@ def verify_connection(pt: MonodromyPoint, params: EquationParams,
                           "err_z": err_z, "amplitude": fit.oscillation_amplitude})
             if t0 == tau0_list[-1] and t1 == tau1_list[-1]:
                 final = fit
-    assert final is not None
     return ConnectionReport(
         predicted_nu_plus_1=lc.nu_plus_1,
         predicted_z=lc.z,

@@ -77,6 +77,23 @@ def test_bad_tolerance_exit2(point_file, capsys):
     assert json.loads(err)["error"] == "validation"
 
 
+def test_nonfinite_seed_exit2(capsys):
+    code, out, err = run_cli(capsys, [
+        "integrate", "--u0", "nan", "--du0", "1", "--tau0", "1", "--tau-end", "2",
+        "--eps", "1", "--b", "1"])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "validation"
+
+
+def test_zero_table_steps_exit2(point_file, capsys):
+    path, _ = point_file
+    for flag in ("--tau0-steps", "--tau1-steps"):
+        code, _, err = run_cli(capsys, [
+            "verify-connection", "--point", path, flag, "0", "--eps", "1", "--b", "1"])
+        assert code == 2
+        assert json.loads(err)["error"] == "validation"
+
+
 def test_malformed_point_exit2(tmp_path, capsys):
     path = tmp_path / "junk.json"
     path.write_text('{"a": [0, 0]}')

@@ -142,6 +142,12 @@ def test_verify_connection_rejects_invalid_chart():
                           tau1_steps=1)
 
 
+def test_verify_connection_rejects_empty_table(fit_point):
+    for steps in ({"tau0_steps": 0}, {"tau1_steps": 0}):
+        with pytest.raises(ConditionViolationError):
+            verify_connection(fit_point, P1, **steps)
+
+
 def test_verify_connection_algebraic_point():
     # exact-solution oracle: seed with the closed form itself, so only the
     # large-argument side is under test

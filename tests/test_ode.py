@@ -2,12 +2,18 @@
 coordinate systems, conversions, and finite-difference residual checks."""
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
 from conftest import cauchy_derivative
+from dp3 import ode
+from dp3.asymptotics import du_small, large_tau_chart, small_tau_chart, u_small
 from dp3.backlund import backlund_step
 from dp3.errors import ConditionViolationError, IntegrationFailureError, SingularityError
 from dp3.ode import (
@@ -26,6 +32,7 @@ from dp3.ode import (
     trajectory_to_csv,
 )
 from dp3.params import EquationParams
+from dp3.sampling import sample_manifold
 
 P1 = EquationParams.make(1, 1.0)
 
@@ -127,6 +134,160 @@ def test_trajectory_csv_format():
     lines = text.strip().splitlines()
     assert lines[0] == "tau_re,tau_im,u_re,u_im,du_re,du_im,phi_re,phi_im,H_re,H_im"
     assert len(lines) == 3 and len(lines[1].split(",")) == 10
+
+
+def test_integrate_validates_finiteness():
+    seed = algebraic_solution(1.0, P1, with_phi=True)
+    nan = float("nan")
+    bad_seeds = [SolutionState(seed.tau, complex(nan, 0.0), seed.du),
+                 SolutionState(seed.tau, seed.u, complex(0.0, math.inf)),
+                 SolutionState(seed.tau, seed.u, seed.du, complex(nan, 0.0))]
+    for bad in bad_seeds:
+        with pytest.raises(ConditionViolationError):
+            integrate_ray(bad, 0.0, P1, 2.0)
+    with pytest.raises(ConditionViolationError):
+        integrate_ray(seed, nan, P1, 2.0)
+    with pytest.raises(ConditionViolationError):
+        integrate_ray(seed, 0.0, P1, math.inf)
+    with pytest.raises(ConditionViolationError):
+        integrate_ray(seed, 0.0, P1, 2.0, dense_at=np.array([1.5, nan]))
+
+
+def test_integrate_overflowing_seed_raises():
+    # u'' overflows at the seed; the stepper must stop, not loop
+    with pytest.raises(IntegrationFailureError):
+        integrate_ray(SolutionState(1.0, 1.0 + 0j, 1e200 + 0j), 0.0, P1, 2.0)
+
+
+def test_stepper_nonfinite_error_stops():
+    def rhs(t, y):
+        return (complex(math.nan, 0.0) if t > 1.5 else 1j,)
+
+    sol = ode.solve_ivp(rhs, (1.0, 2.0), [1.0 + 0j], rtol=1e-10, atol=1e-13)
+    assert sol.status == -1 and sol.message == "non-finite error estimate"
+    assert 1.0 <= sol.t_fail < 1.5
+
+
+# --------------------------------------------------------- DOP853 stepper
+
+def crit10_seed(tau0: float = 0.02):
+    """First point of the criterion-10 draw (seed 97) with a generic a,
+    seeded from its small chart on the positive ray."""
+    for pt in sample_manifold(seed=97, count=80, branch=1, nu_max=0.08,
+                              re_rho_max=0.15, abs_a_max=0.6, max_entry=20.0):
+        sc = small_tau_chart(pt, 0, P1)
+        if sc.log_mode or abs(sc.rho) < 0.02 or abs(pt.a) < 0.1:
+            continue
+        if large_tau_chart(pt, 0, P1).special == "none":
+            seed = SolutionState(complex(tau0), u_small(sc, tau0), du_small(sc, tau0))
+            return seed, pt.a
+    raise AssertionError("no generic-a criterion-10 point in the draw")
+
+
+def test_integrate_matches_mpmath_oracle():
+    # independent reference: mpmath's Taylor-series integrator at 20 digits
+    # on the equation written out again here
+    seed, a = crit10_seed()
+    with mpmath.workdps(20):
+        am, eps, b = mpmath.mpc(a), P1.eps, P1.b
+
+        def rhs(t, y):
+            u, du = y
+            return [du, du * du / u - du / t + (-8 * eps * u * u + 2 * am * b) / t + b * b / u]
+
+        ref = mpmath.odefun(rhs, mpmath.mpf(0.02), [mpmath.mpc(seed.u), mpmath.mpc(seed.du)])
+        u_ref, du_ref = (complex(v) for v in ref(2))
+    errs = []
+    for tol in (1e-8, 1e-10, 1e-12):
+        traj = integrate_ray(seed, a, P1, 2.0, tol=tol)
+        err = max(abs(traj.u[-1] - u_ref) / abs(u_ref), abs(traj.du[-1] - du_ref) / abs(du_ref))
+        assert err <= 10 * tol
+        errs.append(err)
+    assert errs[0] > errs[1] > errs[2]
+
+
+def test_stepper_matches_scipy_dop853():
+    # same error norm, step control and initial step: the same accepted
+    # steps up to rounding, and the same interpolant
+    seed, a = crit10_seed()
+
+    def rhs(s, y):
+        return y[1], dp3_rhs(SolutionState(s, y[0], y[1]), a, P1)[1]
+
+    grid = np.linspace(1.0, 50.0, 97)
+    ours = ode.solve_ivp(rhs, (0.02, 50.0), [seed.u, seed.du], rtol=1e-10, atol=1e-13,
+                         dense_at=grid)
+    ref = solve_ivp(lambda s, y: np.asarray(rhs(s, y)), (0.02, 50.0),
+                    np.array([seed.u, seed.du]), method="DOP853", rtol=1e-10,
+                    atol=1e-13, dense_output=True)
+    assert ours.status == 0 and ref.success
+    assert ours.t.size == ref.t.size
+    assert np.allclose(ours.t, ref.t, rtol=1e-7, atol=0.0)
+    assert np.allclose(ours.y, ref.sol(grid), rtol=1e-9, atol=0.0)
+
+
+def test_integrate_backward_ray():
+    seed = algebraic_solution(40.0, P1)
+    grid = np.linspace(40.0, 0.5, 50)
+    traj = integrate_ray(seed, 0.0, P1, 0.5, tol=1e-11, dense_at=grid)
+    exact = np.array([algebraic_solution(t, P1).u for t in grid])
+    assert np.max(np.abs(traj.u - exact)) < 1e-9
+    steps = integrate_ray(seed, 0.0, P1, 0.5, tol=1e-11)
+    assert np.all(np.diff(np.abs(steps.tau)) < 0) and abs(steps.tau[-1]) == 0.5
+
+
+def test_dense_output_in_caller_order():
+    # overlapping, unsorted windows, as verify_connection passes them
+    seed, a = crit10_seed()
+    grid = np.concatenate([np.linspace(50.0, 100.0, 40), np.linspace(25.0, 60.0, 40),
+                           np.linspace(80.0, 30.0, 40)])
+    traj = integrate_ray(seed, a, P1, 100.0, tol=1e-10, dense_at=grid)
+    order = np.argsort(grid, kind="stable")
+    ref = integrate_ray(seed, a, P1, 100.0, tol=1e-10, dense_at=grid[order])
+    assert np.array_equal(np.abs(traj.tau), grid)
+    assert np.array_equal(traj.u[order], ref.u)
+    assert np.array_equal(traj.du[order], ref.du)
+
+
+def test_integrate_without_dense_returns_steps():
+    seed, a = crit10_seed()
+    traj = integrate_ray(seed, a, P1, 20.0, tol=1e-10)
+    s = np.abs(traj.tau)
+    assert s[0] == 0.02 and s[-1] == 20.0
+    assert np.all(np.diff(s) > 0)
+    assert traj.u[0] == seed.u and traj.du[0] == seed.du
+
+
+def test_bound_failure_located_in_failing_step(monkeypatch):
+    original, results = ode.solve_ivp, []
+
+    def recording(*args, **kwargs):
+        results.append(original(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(ode, "solve_ivp", recording)
+    seed = SolutionState(1.0, 1e-6 + 0j, -1.0 + 0j)
+    with pytest.raises(IntegrationFailureError) as exc:
+        integrate_ray(seed, 0.0, P1, 50.0, tol=1e-9)
+    (sol,) = results
+    assert sol.status == 1
+    assert sol.t[-1] < exc.value.tau_abs <= 50.0
+
+
+def test_integrate_tracks_phi():
+    seed = algebraic_solution(1.0, P1, with_phi=True, phi0=0.3)
+    grid = np.linspace(1.0, 8.0, 30)
+    traj = integrate_ray(seed, 0.0, P1, 8.0, tol=1e-11, dense_at=grid)
+    exact = np.array([algebraic_solution(t, P1, with_phi=True, phi0=0.3).phi for t in grid])
+    assert np.max(np.abs(traj.phi - exact)) < 1e-9
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    src = Path(ode.__file__).resolve().parents[1]
+    code = "import sys, dp3.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, cwd=src, timeout=60)
+    assert out.stdout.strip() == "False"
 
 
 # ----------------------------------------------------------- Hamiltonians
