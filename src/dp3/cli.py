@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
+import math
 import os
 import sys
 import traceback
@@ -82,6 +83,11 @@ def _emit(payload, args) -> None:
         print(text)
 
 
+def _check_finite(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise _ValidationError(f"{name} must be finite")
+
+
 def _check_tol(tol: float) -> float:
     lo, hi = ode._TOL_RANGE
     if not (lo <= tol <= hi):
@@ -115,6 +121,8 @@ def _cmd_monodromy_map(args) -> int:
 
 
 def _cmd_monodromy_sample(args) -> int:
+    if args.count < 0:
+        raise _ValidationError("--count must be non-negative")
     pts = sampling.sample_manifold(
         seed=args.seed, count=args.count, branch=args.branch,
         abs_a_max=args.abs_a_max, nu_max=args.nu_max,
@@ -182,6 +190,8 @@ def _seed_state(args, params) -> tuple[ode.SolutionState, complex]:
 
 
 def _cmd_integrate(args) -> int:
+    _check_finite("--tau0", args.tau0)
+    _check_finite("--tau-end", args.tau_end)
     params = _params_from(args)
     state, a = _seed_state(args, params)
     dense = None
@@ -201,6 +211,8 @@ def _cmd_integrate(args) -> int:
 def _cmd_verify(args) -> int:
     if args.tau0_steps < 1 or args.tau1_steps < 1:
         raise _ValidationError("--tau0-steps and --tau1-steps must be at least 1")
+    _check_finite("--tau0", args.tau0)
+    _check_finite("--tau1", args.tau1)
     pt = _load_point(args.point)
     params = _params_from(args)
     rep = connection.verify_connection(
@@ -257,10 +269,13 @@ def _cmd_lattice(args) -> int:
 def _cmd_fit(args) -> int:
     params = _params_from(args)
     data = np.genfromtxt(args.csv, delimiter=",", names=True)
-    tau = data["tau_re"] + 1j * data["tau_im"]
-    u = data["u_re"] + 1j * data["u_im"]
-    du = data["du_re"] + 1j * data["du_im"]
-    H = data["H_re"] + 1j * data["H_im"]
+    try:
+        tau, u, du, H = (np.atleast_1d(data[f"{k}_re"] + 1j * data[f"{k}_im"])
+                         for k in ("tau", "u", "du", "H"))
+    except (ValueError, TypeError) as exc:
+        raise _ValidationError(f"bad trajectory CSV: {exc}") from exc
+    if not (np.all(np.isfinite(tau)) and np.all(np.isfinite(u))):
+        raise _ValidationError("trajectory CSV has non-finite tau or u samples")
     traj = ode.Trajectory(params, 0.0, tau, u, du, None, H)
     fit = connection.fit_large_tau(traj, params, eps1=args.eps1)
     _emit({"nu_plus_1": _cpx(fit.nu_plus_1), "z": _cpx(fit.z),

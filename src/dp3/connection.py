@@ -1,6 +1,7 @@
 """Closing the loop numerically: recover the large-argument chart
-parameters from trajectory samples by nonlinear least squares, and verify
-a monodromy point's connection formulae end to end (seed at small |tau|
+parameters from trajectory samples by separable nonlinear least squares
+(variable projection with an in-house Levenberg-Marquardt), and verify a
+monodromy point's connection formulae end to end (seed at small |tau|
 from the small-argument chart, integrate along the ray, fit the
 large-argument chart, compare with the prediction).
 """
@@ -13,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .asymptotics import (
     LargeTauChart,
@@ -58,13 +58,21 @@ def fit_large_tau(traj: Trajectory, params: EquationParams,
     """Fit the two chart constants (nu + 1, z) of the large-argument
     expansion to trajectory samples.
 
-    The model is linear in the two oscillatory weights at fixed nu + 1, so
-    the fit alternates a linear solve for the weights with a
-    Levenberg-style nonlinear refinement of all four real parameters,
-    initialised from envelope/phase extraction of the residual left after
-    subtracting the algebraic part.
+    At fixed nu + 1 the model is linear in its four weights: the two
+    oscillatory terms e^{+-(i theta + (nu + 1) ln theta)} and the leading
+    power tails theta^{-1/2}, theta^{-3/2} of the algebraic part.  The fit
+    is therefore separable: ``least_squares`` minimises the variable-
+    projection residual over Re and Im of nu + 1 alone, from an initial
+    guess read off the envelope of the forward oscillatory component, and
+    z follows from the optimal oscillatory weights.  Fewer than 5 samples,
+    non-finite samples and windows that start below theta = 50 raise
+    ``ConditionViolationError``.
     """
     m = np.abs(traj.tau)
+    if len(m) <= 4:
+        raise ConditionViolationError("the fit needs more than 4 samples")
+    if not (np.all(np.isfinite(traj.tau)) and np.all(np.isfinite(traj.u))):
+        raise ConditionViolationError("trajectory samples must be finite")
     if eps1 is None:
         ph = traj.tau[0] / m[0]
         eps1 = int(round(cmath.phase(ph) / math.pi))
@@ -118,12 +126,34 @@ def fit_large_tau(traj: Trajectory, params: EquationParams,
     if abs(nu0) > 0.5:
         nu0 = 0.0j
 
-    def residual_vec(x):
-        sol, resid, _ = weights_for(complex(x[0], x[1]))
-        return np.concatenate([resid.real, resid.imag])
+    # variable projection: the nu-independent parts of the basis, hoisted
+    log_theta = np.log(theta)
+    e_i_theta = np.exp(1j * theta)
+    vp_basis = np.empty((len(theta), 4), dtype=complex)
+    vp_basis[:, 2] = theta ** -0.5
+    vp_basis[:, 3] = theta ** -1.5
+    rcond = len(theta) * np.finfo(float).eps
 
-    fit = least_squares(residual_vec, [nu0.real, nu0.imag], method="lm",
-                        xtol=1e-14, ftol=1e-14)
+    def residual_and_jacobian(x):
+        e_plus = e_i_theta * np.exp(complex(x[0], x[1]) * log_theta)
+        e_minus = 1.0 / e_plus
+        vp_basis[:, 0] = e_plus
+        vp_basis[:, 1] = e_minus
+        q, r = np.linalg.qr(vp_basis)
+        diag = np.abs(np.diagonal(r))
+        if not diag.min() > rcond * diag.max():  # singular R (or NaN): reject
+            return None, None
+        w = np.linalg.solve(r, q.conj().T @ osc)
+        resid = vp_basis @ w - osc
+        # Kaufman's Jacobian of the projected residual: d/d(nu + 1) of the
+        # basis, applied to the weights and projected onto range(B)^perp
+        d = log_theta * (e_plus * w[0] - e_minus * w[1])
+        d -= q @ (q.conj().T @ d)
+        jac = np.column_stack([np.concatenate([d.real, d.imag]),
+                               np.concatenate([-d.imag, d.real])])
+        return np.concatenate([resid.real, resid.imag]), jac
+
+    fit = least_squares(residual_and_jacobian, [nu0.real, nu0.imag], xtol=1e-14, ftol=1e-14)
     nu1 = complex(fit.x[0], fit.x[1])
     sol, resid, basis = weights_for(nu1)
     cond = float(np.linalg.cond(basis))
@@ -144,6 +174,76 @@ def fit_large_tau(traj: Trajectory, params: EquationParams,
     z = _wrap_mod_2pi_i(complex(0.5 * (z_plus.real + z_minus.real),
                                 z_plus.imag + 0.5 * dz))
     return LargeTauFit(nu1, z, float(np.linalg.norm(resid)), cond, osc_amp, False)
+
+
+@dataclass(frozen=True)
+class LeastSquaresResult:
+    """Result of ``least_squares``; the field names follow scipy's."""
+
+    x: np.ndarray
+    cost: float  # half the squared residual norm at x
+    nfev: int  # every call of the residual function, rejected trials included
+    status: int  # 1 xtol met, 2 ftol met, 0 evaluation cap reached
+
+
+def least_squares(fun, x0, xtol: float, ftol: float,
+                  max_nfev: int = 100) -> LeastSquaresResult:
+    """Minimise ||r(x)||^2 by Levenberg-Marquardt.
+
+    ``fun(x)`` returns the residual vector and its Jacobian, or
+    ``(None, None)`` where the residual is undefined.  The damping follows
+    Nielsen's rule (scaled by the largest diagonal entry of J^T J at x0).
+    A trial with an undefined or non-finite residual, or one that does not
+    lower the cost, is rejected and the damping raised.  The iteration
+    stops when a trial changes the cost by at most ``ftol`` of it and the
+    linear model predicts no larger decrease (status 2, as MINPACK's ftol
+    test), when a trial step is at most ``xtol (||x|| + xtol)`` long
+    (status 1, also returned at once when the Jacobian at x0 vanishes),
+    or after ``max_nfev`` calls of ``fun`` (status 0); ``x`` is the last
+    accepted point.
+
+    The name and the ``x`` and ``nfev`` fields follow
+    ``scipy.optimize.least_squares``, which this replaces in
+    ``fit_large_tau``: ``perfbench/tracer.py`` counts the fit's residual
+    evaluations by wrapping this module attribute, so ``fit_large_tau``
+    calls it through the module global.
+    """
+    x = np.array(x0, dtype=float)
+    r, jac = fun(x)
+    nfev = 1
+    if r is None or not np.all(np.isfinite(r)) or not np.all(np.isfinite(jac)):
+        return LeastSquaresResult(x, math.inf, nfev, 0)
+    cost = 0.5 * float(r @ r)
+    damping, growth = 1e-3 * float(np.max(np.sum(jac * jac, axis=0))), 2.0
+    if damping == 0.0:  # the Jacobian vanishes: x0 is stationary
+        return LeastSquaresResult(x, cost, nfev, 1)
+    while nfev < max_nfev:
+        jtj = jac.T @ jac
+        grad = jac.T @ r
+        step = -np.linalg.solve(jtj + damping * np.eye(len(x)), grad)
+        x_new = x + step
+        small_step = np.linalg.norm(step) <= xtol * (np.linalg.norm(x) + xtol)
+        r_new, jac_new = fun(x_new)
+        nfev += 1
+        cost_new = math.inf  # a NaN cost is rejected as well: NaN > 0 is false
+        if r_new is not None and np.all(np.isfinite(jac_new)):
+            cost_new = 0.5 * float(r_new @ r_new)
+        actual = cost - cost_new
+        predicted = -float(step @ grad) - 0.5 * float(step @ jtj @ step)
+        converged = abs(actual) <= ftol * cost and predicted <= ftol * cost
+        if actual > 0:
+            gain = actual / predicted if predicted > 0 else 0.0
+            damping *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
+            growth = 2.0
+            x, r, jac, cost = x_new, r_new, jac_new, cost_new
+        else:
+            damping *= growth
+            growth *= 2.0
+        if converged:
+            return LeastSquaresResult(x, cost, nfev, 2)
+        if small_step:
+            return LeastSquaresResult(x, cost, nfev, 1)
+    return LeastSquaresResult(x, cost, nfev, 0)
 
 
 @dataclass
@@ -189,7 +289,8 @@ def verify_connection(pt: MonodromyPoint, params: EquationParams,
     """Seed (u, u') at ``tau0`` from the small-argument chart, integrate to
     ``tau1``, fit the large-argument chart, and compare with the
     prediction.  A convergence table over decreasing tau0 and increasing
-    tau1 quantifies the dropped-correction error.
+    tau1 quantifies the dropped-correction error; each of its rows also
+    keeps the fit's residual norm and basis condition number.
 
     ``seed_state`` replaces the small-chart seed when the exact solution
     is known (then only the large side is under test and the small-chart
@@ -227,7 +328,8 @@ def verify_connection(pt: MonodromyPoint, params: EquationParams,
             err_z = None if (lc.z is None or fit.special) \
                 else _z_distance(fit.z, lc.z)
             table.append({"tau0": t0, "tau1": t1, "err_nu": err_nu,
-                          "err_z": err_z, "amplitude": fit.oscillation_amplitude})
+                          "err_z": err_z, "amplitude": fit.oscillation_amplitude,
+                          "residual_norm": fit.residual_norm, "condition": fit.condition})
             if t0 == tau0_list[-1] and t1 == tau1_list[-1]:
                 final = fit
     return ConnectionReport(

@@ -111,14 +111,20 @@ def dp3_rhs(state: SolutionState, a: complex, params: EquationParams) -> tuple[c
     return du, _ddu(tau, u, du, a, params)
 
 
+def _hamiltonian(tau, u, du, a: complex, params: EquationParams):
+    """Hamiltonian in terms of (tau, u, u'), for scalars or numpy arrays
+    (no singularity check)."""
+    ash = a - 0.5j * params.sign2
+    return ash * params.b / u + ash * ash / (2.0 * tau) \
+        + (tau / (4.0 * u * u)) * (du * du + params.b**2) + 4.0 * params.eps * u
+
+
 def hamiltonian_u(state: SolutionState, a: complex, params: EquationParams) -> complex:
     """Hamiltonian in terms of (tau, u, u'); the eps2 = +-1 sectors replace
     i/2 by (-1)**eps2 i/2 in the two a-dependent terms."""
     tau, u, du = state.tau, state.u, state.du
     _check_state(tau, u)
-    ash = a - 0.5j * params.sign2
-    return ash * params.b / u + ash * ash / (2.0 * tau) \
-        + (tau / (4.0 * u * u)) * (du * du + params.b**2) + 4.0 * params.eps * u
+    return _hamiltonian(tau, u, du, a, params)
 
 
 def hamiltonian_pq(p: complex, q: complex, tau: complex, a: complex,
@@ -294,10 +300,9 @@ def integrate_ray(initial: SolutionState, a: complex, params: EquationParams,
     tau_arr = phase * s_out
     u_arr, du_arr = sol.y[0], sol.y[1]
     phi_arr = sol.y[2] if with_phi else None
-    H = np.array([
-        hamiltonian_u(SolutionState(t, u, du), a, params)
-        for t, u, du in zip(tau_arr, u_arr, du_arr)
-    ])
+    if not (np.all(tau_arr) and np.all(u_arr)):  # only a dense_at of 0 can do this
+        raise SingularityError("u = 0 or tau = 0 at an output sample")
+    H = _hamiltonian(tau_arr, u_arr, du_arr, a, params)
     return Trajectory(params=params, a=a, tau=tau_arr, u=u_arr, du=du_arr,
                       phi=phi_arr, H=H)
 

@@ -12,7 +12,7 @@ __all__ = ["EquationParams"]
 
 @dataclass(frozen=True)
 class EquationParams:
-    """Parameters of the nonlinear equation: sign ``eps``, real ``b != 0``,
+    """Parameters of the nonlinear equation: sign ``eps``, finite real ``b != 0``,
     and the sector label ``eps2`` with ``eps*b = |eps*b| e^{i pi eps2}``
     (``eps2 = 0`` for positive coupling, ``+-1`` for negative; for negative
     coupling the caller picks the sector, default ``+1``)."""
@@ -24,6 +24,8 @@ class EquationParams:
     def __post_init__(self):
         if self.eps not in (1, -1):
             raise ConditionViolationError("eps must be +1 or -1")
+        if not math.isfinite(self.b):
+            raise ConditionViolationError("b must be finite")
         if self.b == 0.0:
             raise ConditionViolationError("b must be nonzero")
         coupling = self.eps * self.b

@@ -32,6 +32,8 @@ def sample_manifold(seed: int, count: int, branch: int,
     residual evaluation well conditioned).  Reproducible per seed."""
     if branch not in (1, 2, 3):
         raise ConditionViolationError("branch must be 1, 2 or 3")
+    if count < 0:
+        raise ConditionViolationError("count must be non-negative")
     rng = np.random.default_rng(seed)
     out: list[MonodromyPoint] = []
     budget = max_attempts_per_point * max(count, 1)

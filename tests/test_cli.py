@@ -184,3 +184,35 @@ def test_chart_command(point_file, capsys):
     payload = json.loads(out)
     assert payload["special"] == "none"
     assert "nu_plus_1" in payload and "z" in payload
+
+
+def test_nonfinite_integration_span_exit2(capsys):
+    for flags in (["--tau0", "nan", "--tau-end", "2"], ["--tau0", "1", "--tau-end", "nan"]):
+        code, out, err = run_cli(capsys, [
+            "integrate", "--u0", "1", "--du0", "0", *flags, "--eps", "1", "--b", "1"])
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "validation"
+
+
+def test_negative_sample_count_exit2(capsys):
+    code, out, err = run_cli(capsys, [
+        "monodromy", "sample", "--seed", "1", "--count", "-3", "--branch", "1"])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "validation"
+
+
+def test_fit_nonfinite_csv_row_exit2(tmp_path, capsys):
+    from dp3.ode import algebraic_solution, integrate_ray, trajectory_to_csv
+
+    params = EquationParams.make(1, 1.0)
+    traj = integrate_ray(algebraic_solution(65.0, params), 0.0, params, 120.0,
+                         dense_at=np.linspace(65.0, 120.0, 60))
+    lines = trajectory_to_csv(traj).splitlines()
+    fields = lines[10].split(",")
+    fields[2] = "nan"  # u_re
+    lines[10] = ",".join(fields)
+    csv_path = tmp_path / "traj.csv"
+    csv_path.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(capsys, ["fit", "--csv", str(csv_path), "--eps", "1", "--b", "1"])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "validation"

@@ -1,6 +1,7 @@
 """Large-argument chart fitting and end-to-end connection verification."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -169,3 +170,144 @@ def test_verify_connection_small_seed_amplitude_scales_with_tau0():
                                 tau0_steps=1, tau1_steps=1)
         amps.append(rep.oscillation_amplitude)
     assert amps[1] < 0.2 * amps[0]
+
+
+# ------------------------------------------------- in-house least squares
+
+def _criterion10_windows(count=3):
+    """Fit windows of verify_connection (tau1 = 100, 200, 400) on rays
+    seeded from criterion-10 points."""
+    from dp3.asymptotics import du_small, small_tau_chart, u_small
+    from dp3.connection import _theta_floor
+    from dp3.ode import SolutionState, integrate_ray
+    from dp3.sampling import sample_manifold
+
+    windows = []
+    for pt in sample_manifold(seed=97, count=80, branch=1, nu_max=0.08,
+                              re_rho_max=0.15, abs_a_max=0.6, max_entry=20.0):
+        sc = small_tau_chart(pt, 0, P1)
+        if sc.log_mode or abs(sc.rho) < 0.02 or large_tau_chart(pt, 0, P1).special != "none":
+            continue
+        grids = [np.linspace(max(t1 / 8.0, _theta_floor(P1)), t1, 240)
+                 for t1 in (100.0, 200.0, 400.0)]
+        seed = SolutionState(0.02, u_small(sc, 0.02), du_small(sc, 0.02))
+        traj = integrate_ray(seed, pt.a, P1, 400.0, tol=1e-10,
+                             dense_at=np.concatenate(grids))
+        for k in range(3):
+            sl = slice(240 * k, 240 * (k + 1))
+            windows.append(Trajectory(P1, pt.a, traj.tau[sl], traj.u[sl],
+                                      traj.du[sl], None, traj.H[sl]))
+        if len(windows) == 3 * count:
+            return windows
+    raise AssertionError("too few criterion-10 points")
+
+
+def test_fit_matches_scipy_least_squares(monkeypatch):
+    # the same objective minimised by MINPACK's Levenberg-Marquardt with a
+    # finite-difference Jacobian
+    from scipy.optimize import least_squares as scipy_least_squares
+
+    import dp3.connection as connection
+
+    def scipy_lm(fun, x0, xtol, ftol):
+        return scipy_least_squares(lambda x: fun(x)[0], x0, method="lm",
+                                   xtol=xtol, ftol=ftol)
+
+    for window in _criterion10_windows():
+        ours = fit_large_tau(window, P1, 0)
+        with monkeypatch.context() as mp:
+            mp.setattr(connection, "least_squares", scipy_lm)
+            ref = fit_large_tau(window, P1, 0)
+        assert not ours.special and not ref.special
+        assert abs(ours.nu_plus_1 - ref.nu_plus_1) <= 1e-7
+        assert abs(ours.z - ref.z) <= 1e-6
+        assert ours.residual_norm <= ref.residual_norm * (1.0 + 1e-12)
+
+
+class _Counted:
+    """Residual-and-Jacobian function that records every call."""
+
+    def __init__(self, fun):
+        self.fun = fun
+        self.calls = []
+
+    def __call__(self, x):
+        self.calls.append(np.array(x))
+        return self.fun(x)
+
+
+def test_least_squares_rejects_nonfinite_and_undefined_trials():
+    from dp3.connection import least_squares
+
+    # r = e^x - 1: the first Gauss-Newton-like step from x = -5 overshoots
+    # to x ~ 140, where the residual is reported as NaN (or undefined)
+    for bad in (np.array([math.nan]), None):
+        def fun(x, bad=bad):
+            if x[0] > 10.0:
+                return bad, None if bad is None else np.array([[1.0]])
+            return np.array([math.expm1(x[0])]), np.array([[math.exp(x[0])]])
+
+        counted = _Counted(fun)
+        res = least_squares(counted, [-5.0], xtol=1e-14, ftol=1e-14)
+        assert any(x[0] > 10.0 for x in counted.calls)
+        assert res.status in (1, 2)
+        assert abs(res.x[0]) < 1e-7 and math.isfinite(res.cost)
+        assert res.nfev == len(counted.calls)
+
+
+def test_least_squares_evaluation_cap():
+    from dp3.connection import least_squares
+
+    # r = x^2 converges only linearly, so neither tolerance stops it early
+    counted = _Counted(lambda x: (np.array([x[0] ** 2]), np.array([[2.0 * x[0]]])))
+    res = least_squares(counted, [1.0], xtol=1e-14, ftol=1e-14, max_nfev=7)
+    assert res.status == 0
+    assert res.nfev == len(counted.calls) == 7
+
+
+def test_least_squares_stops_at_once_on_a_vanishing_jacobian():
+    from dp3.connection import least_squares
+
+    counted = _Counted(lambda x: (np.array([1.0, 2.0]), np.zeros((2, 2))))
+    res = least_squares(counted, [0.3, 0.4], xtol=1e-14, ftol=1e-14)
+    assert res.status == 1 and res.nfev == len(counted.calls) == 1
+    assert list(res.x) == [0.3, 0.4] and res.cost == 2.5
+
+
+def test_least_squares_counts_every_evaluation_in_fit(fit_point, monkeypatch):
+    import dp3.connection as connection
+
+    calls, results = [0], []
+    inner = connection.least_squares
+
+    def wrapped(fun, x0, **kw):
+        def counted(x):
+            calls[0] += 1
+            return fun(x)
+        res = inner(counted, x0, **kw)
+        results.append(res)
+        return res
+
+    monkeypatch.setattr(connection, "least_squares", wrapped)
+    ch = large_tau_chart(fit_point, 0, P1)
+    fit_large_tau(synthetic_trajectory(ch, np.linspace(100.0, 400.0, 300)), P1)
+    (res,) = results
+    assert res.nfev == calls[0] >= 2
+
+
+def test_fit_rejects_nonfinite_or_too_few_samples(fit_point):
+    ch = large_tau_chart(fit_point, 0, P1)
+    traj = synthetic_trajectory(ch, np.linspace(100.0, 400.0, 300))
+    traj.u[17] = complex(math.nan, 0.0)
+    with pytest.raises(ConditionViolationError):
+        fit_large_tau(traj, P1)
+    with pytest.raises(ConditionViolationError):
+        fit_large_tau(synthetic_trajectory(ch, np.linspace(100.0, 400.0, 4)), P1)
+
+
+def test_convergence_rows_keep_fit_diagnostics(fit_point):
+    rep = verify_connection(fit_point, P1, tau0=0.02, tau1=200.0, tol=1e-10,
+                            tau0_steps=1, tau1_steps=2)
+    for row in json.loads(rep.to_json())["convergence_table"]:
+        assert row["residual_norm"] > 0 and math.isfinite(row["residual_norm"])
+        assert row["condition"] >= 1

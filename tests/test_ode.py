@@ -59,6 +59,12 @@ def test_params_validation():
     assert EquationParams.make(-1, -2.0).eps2 == 0
 
 
+def test_params_reject_nonfinite_b():
+    for b in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ConditionViolationError):
+            EquationParams.make(1, b)
+
+
 def test_rhs_singular_at_zero_u():
     with pytest.raises(SingularityError):
         dp3_rhs(SolutionState(1.0, 0.0, 0.1), 0.0, P1)
@@ -290,7 +296,26 @@ def test_import_leaves_scipy_integrate_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_import_leaves_all_of_scipy_unloaded():
+    src = Path(ode.__file__).resolve().parents[1]
+    code = ("import sys, dp3.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, cwd=src, timeout=60)
+    assert out.stdout.strip() == "[]"
+
+
 # ----------------------------------------------------------- Hamiltonians
+
+def test_trajectory_H_matches_hamiltonian_u_per_sample():
+    pt = sample_manifold(seed=5, count=1, branch=1, nu_max=0.1)[0]
+    sc = small_tau_chart(pt, 0, P1)
+    seed = SolutionState(0.05, u_small(sc, 0.05), du_small(sc, 0.05))
+    for dense in (None, np.linspace(0.05, 30.0, 120)):
+        traj = integrate_ray(seed, pt.a, P1, 30.0, tol=1e-10, dense_at=dense)
+        per_sample = np.array([hamiltonian_u(st, pt.a, P1) for st in traj.states()])
+        assert np.max(np.abs(traj.H - per_sample) / np.abs(per_sample)) <= 1e-14
+
 
 def test_hamiltonian_hand_value():
     st = algebraic_solution(1.0, P1)
