@@ -62,7 +62,7 @@ def fit_large_tau(traj: Trajectory, params: EquationParams,
     oscillatory terms e^{+-(i theta + (nu + 1) ln theta)} and the leading
     power tails theta^{-1/2}, theta^{-3/2} of the algebraic part.  The fit
     is therefore separable: ``least_squares`` minimises the variable-
-    projection residual over Re and Im of nu + 1 alone, from an initial
+    projection residual over the one complex parameter nu + 1, from an initial
     guess read off the envelope of the forward oscillatory component, and
     z follows from the optimal oscillatory weights.  Fewer than 5 samples,
     non-finite samples and windows that start below theta = 50 raise
@@ -134,8 +134,8 @@ def fit_large_tau(traj: Trajectory, params: EquationParams,
     vp_basis[:, 3] = theta ** -1.5
     rcond = len(theta) * np.finfo(float).eps
 
-    def residual_and_jacobian(x):
-        e_plus = e_i_theta * np.exp(complex(x[0], x[1]) * log_theta)
+    def residual_and_derivative(nu1):
+        e_plus = e_i_theta * np.exp(nu1 * log_theta)
         e_minus = 1.0 / e_plus
         vp_basis[:, 0] = e_plus
         vp_basis[:, 1] = e_minus
@@ -149,12 +149,10 @@ def fit_large_tau(traj: Trajectory, params: EquationParams,
         # basis, applied to the weights and projected onto range(B)^perp
         d = log_theta * (e_plus * w[0] - e_minus * w[1])
         d -= q @ (q.conj().T @ d)
-        jac = np.column_stack([np.concatenate([d.real, d.imag]),
-                               np.concatenate([-d.imag, d.real])])
-        return np.concatenate([resid.real, resid.imag]), jac
+        return resid, d
 
-    fit = least_squares(residual_and_jacobian, [nu0.real, nu0.imag], xtol=1e-14, ftol=1e-14)
-    nu1 = complex(fit.x[0], fit.x[1])
+    fit = least_squares(residual_and_derivative, nu0)
+    nu1 = fit.x
     sol, resid, basis = weights_for(nu1)
     cond = float(np.linalg.cond(basis))
     osc_part = np.abs(np.exp(nu1 * np.log(theta)) * sol[0]) \
@@ -176,74 +174,77 @@ def fit_large_tau(traj: Trajectory, params: EquationParams,
     return LargeTauFit(nu1, z, float(np.linalg.norm(resid)), cond, osc_amp, False)
 
 
+_LM_TOL = 1e-14  # xtol and ftol, in MINPACK's sense
+_LM_MAX_NFEV = 100
+
+
 @dataclass(frozen=True)
 class LeastSquaresResult:
     """Result of ``least_squares``; the field names follow scipy's."""
 
-    x: np.ndarray
-    cost: float  # half the squared residual norm at x
+    x: complex
     nfev: int  # every call of the residual function, rejected trials included
-    status: int  # 1 xtol met, 2 ftol met, 0 evaluation cap reached
 
 
-def least_squares(fun, x0, xtol: float, ftol: float,
-                  max_nfev: int = 100) -> LeastSquaresResult:
-    """Minimise ||r(x)||^2 by Levenberg-Marquardt.
+def least_squares(fun, x0: complex) -> LeastSquaresResult:
+    """Minimise ||r(x)||^2 over one complex parameter x by
+    Levenberg-Marquardt.
 
-    ``fun(x)`` returns the residual vector and its Jacobian, or
-    ``(None, None)`` where the residual is undefined.  The damping follows
-    Nielsen's rule (scaled by the largest diagonal entry of J^T J at x0).
-    A trial with an undefined or non-finite residual, or one that does not
-    lower the cost, is rejected and the damping raised.  The iteration
-    stops when a trial changes the cost by at most ``ftol`` of it and the
-    linear model predicts no larger decrease (status 2, as MINPACK's ftol
-    test), when a trial step is at most ``xtol (||x|| + xtol)`` long
-    (status 1, also returned at once when the Jacobian at x0 vanishes),
-    or after ``max_nfev`` calls of ``fun`` (status 0); ``x`` is the last
-    accepted point.
+    ``fun(x)`` returns the complex residual vector r and its derivative
+    d = dr/dx, or ``(None, None)`` where the residual is undefined.  Since
+    r is holomorphic in x, the real Jacobian in (Re x, Im x) has the two
+    orthogonal columns [Re d; Im d] and [-Im d; Re d] of equal norm, so the
+    damped normal equations reduce to the scalar step
+    -d^H r / (||d||^2 + damping).  The damping follows Nielsen's rule
+    (started at 1e-3 ||d||^2).  A trial with an undefined or non-finite
+    residual, or one that does not lower the cost, is rejected and the
+    damping raised.  The iteration stops when a trial changes the cost by
+    at most 1e-14 of it and the linear model predicts no larger decrease
+    (MINPACK's ftol test), when a trial step is at most
+    1e-14 (|x| + 1e-14) long (its xtol test; also at once when d vanishes
+    at x0), or after 100 calls of ``fun``.  ``x`` is the last accepted
+    point.
 
     The name and the ``x`` and ``nfev`` fields follow
     ``scipy.optimize.least_squares``, which this replaces in
     ``fit_large_tau``: ``perfbench/tracer.py`` counts the fit's residual
-    evaluations by wrapping this module attribute, so ``fit_large_tau``
-    calls it through the module global.
+    evaluations by wrapping this module attribute and reading ``nfev``,
+    so ``fit_large_tau`` calls it through the module global.
     """
-    x = np.array(x0, dtype=float)
-    r, jac = fun(x)
+    x = complex(x0)
+    r, d = fun(x)
     nfev = 1
-    if r is None or not np.all(np.isfinite(r)) or not np.all(np.isfinite(jac)):
-        return LeastSquaresResult(x, math.inf, nfev, 0)
-    cost = 0.5 * float(r @ r)
-    damping, growth = 1e-3 * float(np.max(np.sum(jac * jac, axis=0))), 2.0
-    if damping == 0.0:  # the Jacobian vanishes: x0 is stationary
-        return LeastSquaresResult(x, cost, nfev, 1)
-    while nfev < max_nfev:
-        jtj = jac.T @ jac
-        grad = jac.T @ r
-        step = -np.linalg.solve(jtj + damping * np.eye(len(x)), grad)
-        x_new = x + step
-        small_step = np.linalg.norm(step) <= xtol * (np.linalg.norm(x) + xtol)
-        r_new, jac_new = fun(x_new)
+    if r is None or not (np.all(np.isfinite(r)) and np.all(np.isfinite(d))):
+        return LeastSquaresResult(x, nfev)
+    cost = 0.5 * float(np.vdot(r, r).real)
+    dd = float(np.vdot(d, d).real)
+    damping, growth = 1e-3 * dd, 2.0
+    if damping == 0.0:  # the derivative vanishes: x0 is stationary
+        return LeastSquaresResult(x, nfev)
+    while nfev < _LM_MAX_NFEV:
+        grad = complex(np.vdot(d, r))  # (Re, Im) of the cost gradient
+        step = -grad / (dd + damping)
+        small_step = abs(step) <= _LM_TOL * (abs(x) + _LM_TOL)
+        r_new, d_new = fun(x + step)
         nfev += 1
         cost_new = math.inf  # a NaN cost is rejected as well: NaN > 0 is false
-        if r_new is not None and np.all(np.isfinite(jac_new)):
-            cost_new = 0.5 * float(r_new @ r_new)
+        if r_new is not None and np.all(np.isfinite(d_new)):
+            cost_new = 0.5 * float(np.vdot(r_new, r_new).real)
         actual = cost - cost_new
-        predicted = -float(step @ grad) - 0.5 * float(step @ jtj @ step)
-        converged = abs(actual) <= ftol * cost and predicted <= ftol * cost
+        predicted = -(step.conjugate() * grad).real - 0.5 * dd * abs(step) ** 2
+        converged = abs(actual) <= _LM_TOL * cost and predicted <= _LM_TOL * cost
         if actual > 0:
             gain = actual / predicted if predicted > 0 else 0.0
             damping *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
             growth = 2.0
-            x, r, jac, cost = x_new, r_new, jac_new, cost_new
+            x, r, d, cost = x + step, r_new, d_new, cost_new
+            dd = float(np.vdot(d, d).real)
         else:
             damping *= growth
             growth *= 2.0
-        if converged:
-            return LeastSquaresResult(x, cost, nfev, 2)
-        if small_step:
-            return LeastSquaresResult(x, cost, nfev, 1)
-    return LeastSquaresResult(x, cost, nfev, 0)
+        if converged or small_step:
+            return LeastSquaresResult(x, nfev)
+    return LeastSquaresResult(x, nfev)
 
 
 @dataclass

@@ -121,6 +121,12 @@ def test_sampling_exhaustion():
                         max_attempts_per_point=50)
 
 
+def test_sampling_rejects_negative_count():
+    from dp3.errors import ConditionViolationError
+    with pytest.raises(ConditionViolationError):
+        sample_manifold(seed=1, count=-1, branch=1)
+
+
 def test_sample_count_zero(capsys):
     code, out, _ = run_cli(capsys, [
         "monodromy", "sample", "--seed", "1", "--count", "0", "--branch", "1"])
