@@ -55,6 +55,11 @@ def nu_plus_1_of(g11: complex, g22: complex) -> complex:
     return 0.5j / math.pi * cmath.log(g11 * g22)
 
 
+def _check_a(a: complex) -> None:
+    if not cmath.isfinite(a):
+        raise ConditionViolationError("charts need a finite a")
+
+
 def _ray_phase(eps1: int) -> complex:
     return cmath.exp(1j * math.pi * eps1)
 
@@ -113,6 +118,7 @@ def _mapped_g(pt: MonodromyPoint, eps1: int, params: EquationParams):
 
 def large_tau_chart(pt: MonodromyPoint, eps1: int, params: EquationParams) -> LargeTauChart:
     """Chart for the expansion as |tau| -> infinity on arg tau = pi eps1."""
+    _check_a(pt.a)
     g11, g12, g21, g22 = _mapped_g(pt, eps1, params)
     s00, a = pt.s00, pt.a
     scale = max(abs(g11), abs(g12), abs(g21), abs(g22), 1.0)
@@ -206,6 +212,7 @@ def _chi(ga: complex, gb: complex, z: complex) -> complex:
 
 def small_tau_chart(pt: MonodromyPoint, eps1: int, params: EquationParams) -> SmallTauChart:
     """Chart for the expansion as |tau| -> 0 on arg tau = pi eps1."""
+    _check_a(pt.a)
     g11, g12, g21, g22 = _mapped_g(pt, eps1, params)
     s00, a = pt.s00, pt.a
     if abs(a.imag) >= 1.0:
@@ -356,6 +363,7 @@ def imag_chart(pt: MonodromyPoint, eps1: int, params: EquationParams,
     """The real-axis chart of the rotated problem behind ``u_imag``: the
     value on the imaginary ray is ``i * eps1`` times this chart's
     positive-ray evaluation at the same magnitude."""
+    _check_a(pt.a)
     rotated, new_params = _rotate_to_real_ray(pt, eps1, params)
     if regime == "large":
         return large_tau_chart(rotated, 0, new_params)

@@ -484,4 +484,6 @@ def point_from_json(text: str) -> MonodromyPoint:
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise ValueError(f"key {key!r} must be a [re, im] pair")
         vals[key] = complex(float(pair[0]), float(pair[1]))
+        if not cmath.isfinite(vals[key]):
+            raise ValueError(f"key {key!r} must be finite")
     return MonodromyPoint(**vals)

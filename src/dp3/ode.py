@@ -10,6 +10,12 @@ The equation itself is
 
 singular exactly at u = 0 and tau = 0.  All integration happens along a
 fixed ray in the complex tau plane, parametrised by s = |tau|.
+
+The stepper's step and interpolant are straight-line code generated from
+the DOP853 tableau below, once per component count, the first time
+``solve_ivp`` runs (never at import).  Each expression keeps the nonzero
+coefficients in ascending stage order, so the steps, ``nfev`` and output
+samples are the same floats as the dense formula y + h sum_j a_sj K_j.
 """
 
 from __future__ import annotations
@@ -18,7 +24,6 @@ import cmath
 import io
 import math
 from dataclasses import dataclass
-from operator import mul
 
 import numpy as np
 
@@ -77,6 +82,8 @@ class Trajectory:
     du: np.ndarray
     phi: np.ndarray | None
     H: np.ndarray
+    nsteps: int = 0  # accepted solver steps; 0 when not built by integrate_ray
+    nfev: int = 0  # right-hand-side calls, dense-output stages included
 
     @property
     def ray_phase(self) -> complex:
@@ -256,8 +263,11 @@ def integrate_ray(initial: SolutionState, a: complex, params: EquationParams,
     with a located failure if ``|u|`` leaves ``[u_floor, u_ceil]``.
 
     ``dense_at`` selects output magnitudes |tau| in any order, filled from
-    the 7th-order interpolant (default: the accepted steps).  ``phi`` is
-    advanced by the same stepper when present on the seed.
+    the 7th-order interpolant (default: the accepted steps).  They must lie
+    between |tau0| and ``tau_end``, endpoints included: the interpolant is
+    not extrapolated.  ``phi`` is advanced by the same stepper when present
+    on the seed.  The trajectory records the solver's accepted steps
+    (``nsteps``) and right-hand-side calls (``nfev``).
     """
     if not (_TOL_RANGE[0] <= tol <= _TOL_RANGE[1]):
         raise ConditionViolationError(f"tol must lie in [{_TOL_RANGE[0]}, {_TOL_RANGE[1]}]")
@@ -274,6 +284,10 @@ def integrate_ray(initial: SolutionState, a: complex, params: EquationParams,
     s1 = float(tau_end)
     if s1 <= 0 or s1 == s0:
         raise ConditionViolationError("tau_end must be a positive magnitude distinct from |tau0|")
+    if dense_at is not None:
+        s_req = np.asarray(dense_at, dtype=float)
+        if not np.all((min(s0, s1) <= s_req) & (s_req <= max(s0, s1))):
+            raise ConditionViolationError("dense_at must lie between |tau0| and tau_end")
 
     def rhs(s, y):
         tau = phase * s
@@ -304,7 +318,7 @@ def integrate_ray(initial: SolutionState, a: complex, params: EquationParams,
         raise SingularityError("u = 0 or tau = 0 at an output sample")
     H = _hamiltonian(tau_arr, u_arr, du_arr, a, params)
     return Trajectory(params=params, a=a, tau=tau_arr, u=u_arr, du=du_arr,
-                      phi=phi_arr, H=H)
+                      phi=phi_arr, H=H, nsteps=sol.t.size - 1, nfev=sol.nfev)
 
 
 # ------------------------------------------------------------ DOP853 stepper
@@ -314,7 +328,8 @@ def integrate_ray(initial: SolutionState, a: complex, params: EquationParams,
 # Ordinary Differential Equations I", II.10), with the constants of Hairer's
 # DOP853.  _A_NONZERO[s - 1] holds the nonzero a_sj of row s: rows 1-11 are
 # the stages of a step, row 12 the solution weights, rows 13-15 the extra
-# stages of the interpolant.
+# stages of the interpolant.  The 3rd-order error weights are the solution
+# weights less _E3_SHIFT.  _kernel_source turns these rows into code.
 
 _C = (0.0, 0.526001519587677318785587544488e-01,
       0.789002279381515978178381316732e-01, 0.118350341907227396726757197510,
@@ -404,19 +419,77 @@ _D_NONZERO = (
 )
 
 
-def _dense_row(nonzero: dict, size: int) -> tuple[float, ...]:
-    return tuple(nonzero.get(j, 0.0) for j in range(size))
-
-
-_A = [()] + [_dense_row(row, s) for s, row in enumerate(_A_NONZERO, start=1)]
-_B = _A[12]
-_E5 = _dense_row(_E5_NONZERO, 12)
-_E3 = tuple(w - _E3_SHIFT.get(j, 0.0) for j, w in enumerate(_B))
-_D = tuple(_dense_row(row, 16) for row in _D_NONZERO)
-_STEP_STAGES = tuple(zip(_A[1:12], _C[1:12]))
-_EXTRA_STAGES = tuple(zip(_A[13:16], _C[13:16]))
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_EXPONENT = -1.0 / 8.0  # error estimator of order 7
+
+_KERNELS: dict[int, tuple] = {}  # n -> (step, interpolant)
+
+
+def _dot(row: dict, i: int) -> str:
+    """Source of sum_j row[j] K_j[i] over the nonzero coefficients."""
+    return " + ".join(f"{c!r} * k{j}_{i}" for j, c in sorted(row.items()) if c != 0.0)
+
+
+def _kernel_source(n: int) -> str:
+    """Source of ``step`` and ``interpolant`` for n components.
+
+    ``step(fun, t, h, y, f, atol, rtol)`` takes f = fun(t, y) and returns
+    the 8th-order solution at t + h, the sums over components of the squared
+    scaled 5th- and 3rd-order error estimates, and the stages K_0..K_11 as
+    one flat tuple, component index fastest.  ``interpolant(fun, t, h, y,
+    y_new, f_new, ks)`` computes the three extra stages and returns, per
+    component, the seven coefficients that ``_evaluate`` reads.
+    """
+    comps = range(n)
+
+    def tup(items) -> str:  # with the trailing comma that n = 1 needs
+        return "(" + "".join(f"{x}, " for x in items) + ")"
+
+    def stage(s: int) -> str:
+        args = tup(f"y{i} + h * ({_dot(_A_NONZERO[s - 1], i)})" for i in comps)
+        return f"    {tup(f'k{s}_{i}' for i in comps)} = fun(t + {_C[s]!r} * h, {args})"
+
+    weights = _A_NONZERO[11]
+    e3 = {j: weights.get(j, 0.0) - _E3_SHIFT.get(j, 0.0) for j in range(12)}
+    ys, news = tup(f"y{i}" for i in comps), tup(f"n{i}" for i in comps)
+    ks = tup(f"k{j}_{i}" for j in range(12) for i in comps)
+    lines = ["def step(fun, t, h, y, f, atol, rtol):",
+             f"    {ys} = y",
+             f"    {tup(f'k0_{i}' for i in comps)} = f"]
+    lines += [stage(s) for s in range(1, 12)]
+    lines += [f"    n{i} = y{i} + h * ({_dot(weights, i)})" for i in comps]
+    for i in comps:
+        acc = "=" if i == 0 else "+="  # 0.0 + e * e is e * e, since e * e >= 0
+        lines += [f"    sc = atol + max(abs(y{i}), abs(n{i})) * rtol",
+                  f"    e5 = abs({_dot(_E5_NONZERO, i)}) / sc",
+                  f"    e3 = abs({_dot(e3, i)}) / sc",
+                  f"    err5 {acc} e5 * e5",
+                  f"    err3 {acc} e3 * e3"]
+    lines += [f"    return {news}, err5, err3, {ks}",
+              "",
+              "def interpolant(fun, t, h, y, y_new, f_new, ks):",
+              f"    {ys} = y",
+              f"    {news} = y_new",
+              f"    {tup(f'k12_{i}' for i in comps)} = f_new",
+              f"    {ks} = ks"]
+    lines += [stage(s) for s in range(13, 16)]
+    lines += [f"    d{i} = n{i} - y{i}" for i in comps]
+    coeffs = (f"(d{i}, h * k0_{i} - d{i}, 2.0 * d{i} - h * (k12_{i} + k0_{i}), "
+              + "".join(f"h * ({_dot(row, i)}), " for row in _D_NONZERO) + ")"
+              for i in comps)
+    lines.append(f"    return [{', '.join(coeffs)}]")
+    return "\n".join(lines) + "\n"
+
+
+def _kernels(n: int) -> tuple:
+    """The (step, interpolant) pair for n components, generated on first
+    use and cached in ``_KERNELS``."""
+    kernels = _KERNELS.get(n)
+    if kernels is None:
+        namespace: dict = {}
+        exec(compile(_kernel_source(n), f"<DOP853 kernels, n = {n}>", "exec"), namespace)
+        kernels = _KERNELS[n] = (namespace["step"], namespace["interpolant"])
+    return kernels
 
 
 @dataclass
@@ -431,34 +504,12 @@ class _RaySolution:
     t_fail: float | None = None  # where a status != 0 integration stopped
 
 
-def _combine(y: list, h: float, coeffs: tuple, cols: list) -> list:
-    """y + h sum_j coeffs[j] K_j, componentwise (cols[i] lists K_j[i])."""
-    return [yi + h * sum(map(mul, coeffs, col)) for yi, col in zip(y, cols)]
-
-
 def _rms(values) -> float:
     total = 0.0
     for v in values:
         m = abs(v)
         total += m * m
     return math.sqrt(total / len(values))
-
-
-def _interpolant(fun, t: float, h: float, y: list, y_new: list, f_new, cols: list) -> list:
-    """Per-component coefficients of the 7th-order interpolant on the step
-    from t to t + h; appends K_12 = f_new and the three extra stages to
-    ``cols``."""
-    for col, k in zip(cols, f_new):
-        col.append(k)
-    for row, c in _EXTRA_STAGES:
-        for col, k in zip(cols, fun(t + c * h, _combine(y, h, row, cols))):
-            col.append(k)
-    coeffs = []
-    for yi, yn, fn, col in zip(y, y_new, f_new, cols):
-        dy = yn - yi
-        coeffs.append((dy, h * col[0] - dy, 2.0 * dy - h * (fn + col[0]),
-                       *(h * sum(map(mul, d, col)) for d in _D)))
-    return coeffs
 
 
 def _evaluate(coeffs: list, y: list, x: float) -> list:
@@ -494,15 +545,22 @@ def solve_ivp(fun, t_span: tuple[float, float], y0, rtol: float, atol: float,
     estimate stops it (status -1).  The interpolant's three extra stages are
     computed only on steps that contain a point of ``dense_at``.  The
     integration stops with status 1 when ``|y[0]|`` leaves ``bounds``, with
-    the exit located inside the step.  The name and the ``t`` and ``nfev``
-    fields follow scipy's ``solve_ivp``: ``perfbench/tracer.py`` counts
-    steps and right-hand-side calls through them.
+    the exit located inside the step.
+
+    Each step and interpolant runs through the kernels ``_kernels(len(y0))``
+    generated from the tableau; they give the same floats as the dense
+    formula over the full tableau, whose terms they drop only where the
+    coefficient is zero.  The name and the ``t`` and ``nfev`` fields follow
+    scipy's ``solve_ivp``: ``perfbench/tracer.py`` replaces this module
+    attribute to count steps and right-hand-side calls, so ``integrate_ray``
+    calls it through the module global.
     """
     t, t_bound = float(t_span[0]), float(t_span[1])
     direction = 1.0 if t_bound > t else -1.0
     lo, hi = bounds
     y = list(y0)
     n = len(y)
+    step, interpolant = _kernels(n)
 
     # initial step (Hairer, Norsett & Wanner II.4)
     f = fun(t, y)
@@ -542,19 +600,8 @@ def solve_ivp(fun, t_span: tuple[float, float], y0, rtol: float, atol: float,
                 t_new = t_bound
             h = t_new - t
             h_abs = abs(h)
-            cols = [[fi] for fi in f]
-            for row, c in _STEP_STAGES:
-                for col, k in zip(cols, fun(t + c * h, _combine(y, h, row, cols))):
-                    col.append(k)
+            y_new, err5, err3, ks = step(fun, t, h, y, f, atol, rtol)
             nfev += 11
-            y_new = _combine(y, h, _B, cols)
-            err5 = err3 = 0.0
-            for yi, yn, col in zip(y, y_new, cols):
-                sc = atol + max(abs(yi), abs(yn)) * rtol
-                e5 = abs(sum(map(mul, _E5, col))) / sc
-                e3 = abs(sum(map(mul, _E3, col))) / sc
-                err5 += e5 * e5
-                err3 += e3 * e3
             err = 0.0 if err5 == 0 and err3 == 0 \
                 else h_abs * err5 / math.sqrt((err5 + 0.01 * err3) * n)
             if not math.isfinite(err):  # a NaN would never pass err < 1
@@ -572,14 +619,14 @@ def solve_ivp(fun, t_span: tuple[float, float], y0, rtol: float, atol: float,
 
         coeffs = None
         if not lo <= abs(y_new[0]) <= hi:
-            coeffs = _interpolant(fun, t, h, y, y_new, f_new, cols)
+            coeffs = interpolant(fun, t, h, y, y_new, f_new, ks)
             nfev += 3
             t_exit = t + _exit_fraction(coeffs, y, lo, hi) * h
             return _RaySolution(np.array(ts), None, nfev, 1, t_fail=t_exit)
         last = t_new == t_bound
         while i_next < len(pending) and (last or direction * (pending[i_next] - t_new) <= 0):
             if coeffs is None:
-                coeffs = _interpolant(fun, t, h, y, y_new, f_new, cols)
+                coeffs = interpolant(fun, t, h, y, y_new, f_new, ks)
                 nfev += 3
             samples.append(_evaluate(coeffs, y, (pending[i_next] - t) / h))
             i_next += 1

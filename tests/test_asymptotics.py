@@ -27,7 +27,7 @@ from dp3.asymptotics import (
 )
 from dp3.asymptotics import _small_brackets
 from dp3.errors import ConditionViolationError
-from dp3.monodromy import apply_F, from_branch
+from dp3.monodromy import apply_F, from_branch, point_from_json, point_to_json
 from dp3.ode import SolutionState, hamiltonian_u
 from dp3.params import EquationParams
 
@@ -343,6 +343,21 @@ def test_u_imag_validates_eps1(generic_point):
         u_imag(generic_point, 0, P1, 1.0, "large")
     with pytest.raises(ConditionViolationError):
         u_imag(generic_point, 1, P1, 1.0, "medium")
+
+
+def test_charts_reject_nonfinite_a(generic_point):
+    # a NaN a gave a large chart with z = nan and no error
+    for a in (complex(math.nan, 0.0), complex(0.0, math.inf)):
+        bad = dataclasses.replace(generic_point, a=a)
+        with pytest.raises(ConditionViolationError):
+            large_tau_chart(bad, 0, P1)
+        with pytest.raises(ConditionViolationError):
+            small_tau_chart(bad, 0, P1)
+        for regime in ("large", "small"):
+            with pytest.raises(ConditionViolationError):
+                imag_chart(bad, 1, P1, regime)
+        with pytest.raises(ValueError):
+            point_from_json(point_to_json(bad))
 
 
 # ------------------------------------------------- cross-ray identities

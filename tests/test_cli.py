@@ -101,6 +101,20 @@ def test_malformed_point_exit2(tmp_path, capsys):
     assert code == 2
 
 
+def test_nonfinite_a_point_exit2(point_file, tmp_path, capsys):
+    # `chart large` printed "z": [NaN, NaN], which is not JSON, and exited 0
+    path, _ = point_file
+    with open(path) as fh:
+        data = json.load(fh)
+    data["a"] = [float("nan"), 0.0]
+    bad = tmp_path / "nan_a.json"
+    bad.write_text(json.dumps(data))
+    for argv in (["chart", "large"], ["verify-connection"]):
+        code, out, err = run_cli(capsys, [*argv, "--point", str(bad), "--eps", "1", "--b", "1"])
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "validation"
+
+
 def test_sample_deterministic(capsys):
     args = ["monodromy", "sample", "--seed", "11", "--count", "3", "--branch", "2"]
     code1, out1, _ = run_cli(capsys, args)

@@ -4,6 +4,7 @@ coordinate systems, conversions, and finite-difference residual checks."""
 import math
 import subprocess
 import sys
+from operator import mul
 from pathlib import Path
 
 import mpmath
@@ -159,6 +160,17 @@ def test_integrate_validates_finiteness():
         integrate_ray(seed, 0.0, P1, 2.0, dense_at=np.array([1.5, nan]))
 
 
+def test_dense_at_outside_span_raises():
+    # the interpolant was extrapolated here, with errors 5.1e-3 and 0.89
+    # against the exact solution
+    seed = algebraic_solution(1.0, P1)
+    for outside in (0.2, 9.0):
+        with pytest.raises(ConditionViolationError):
+            integrate_ray(seed, 0.0, P1, 5.0, dense_at=np.array([2.0, outside]))
+    traj = integrate_ray(seed, 0.0, P1, 5.0, dense_at=np.linspace(1.0, 5.0, 9))
+    assert abs(traj.u[-1] - algebraic_solution(5.0, P1).u) < 1e-9
+
+
 def test_integrate_overflowing_seed_raises():
     # u'' overflows at the seed; the stepper must stop, not loop
     with pytest.raises(IntegrationFailureError):
@@ -280,6 +292,88 @@ def test_bound_failure_located_in_failing_step(monkeypatch):
     assert sol.t[-1] < exc.value.tau_abs <= 50.0
 
 
+def test_trajectory_records_solver_counts(monkeypatch):
+    original, results = ode.solve_ivp, []
+
+    def recording(*args, **kwargs):
+        results.append(original(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(ode, "solve_ivp", recording)
+    seed, a = crit10_seed()
+    for dense in (None, np.linspace(10.0, 20.0, 30)):
+        traj = integrate_ray(seed, a, P1, 20.0, tol=1e-10, dense_at=dense)
+        sol = results[-1]
+        assert traj.nsteps == sol.t.size - 1 > 0 and traj.nfev == sol.nfev > 0
+    # the positional form verify_connection builds its fit windows with
+    window = ode.Trajectory(P1, a, traj.tau, traj.u, traj.du, None, traj.H)
+    assert window.nsteps == window.nfev == 0
+
+
+def _dense_dop853(fun, t, h, y, f, atol, rtol):
+    """One step and its interpolant by the dense formula y + h sum_j a_sj K_j
+    over every coefficient of ode's tableau, zeros included."""
+    rows = [{}] + list(ode._A_NONZERO)  # rows[s] holds row s
+
+    def dense(row, size):
+        return [row.get(j, 0.0) for j in range(size)]
+
+    cols = [[fi] for fi in f]
+
+    def combine(s):
+        return [yi + h * sum(map(mul, dense(rows[s], s), col)) for yi, col in zip(y, cols)]
+
+    def add_stage(s):
+        for col, k in zip(cols, fun(t + ode._C[s] * h, combine(s))):
+            col.append(k)
+
+    for s in range(1, 12):
+        add_stage(s)
+    y_new = combine(12)
+    e5_row = dense(ode._E5_NONZERO, 12)
+    e3_row = [w - ode._E3_SHIFT.get(j, 0.0) for j, w in enumerate(dense(rows[12], 12))]
+    err5 = err3 = 0.0
+    for yi, yn, col in zip(y, y_new, cols):
+        sc = atol + max(abs(yi), abs(yn)) * rtol
+        e5 = abs(sum(map(mul, e5_row, col))) / sc
+        e3 = abs(sum(map(mul, e3_row, col))) / sc
+        err5 += e5 * e5
+        err3 += e3 * e3
+    f_new = fun(t + h, y_new)
+    for col, k in zip(cols, f_new):
+        col.append(k)
+    for s in range(13, 16):
+        add_stage(s)
+    coeffs = [(yn - yi, h * col[0] - (yn - yi), 2.0 * (yn - yi) - h * (col[12] + col[0]),
+               *(h * sum(map(mul, dense(d, 16), col)) for d in ode._D_NONZERO))
+              for yi, yn, col in zip(y, y_new, cols)]
+    return y_new, err5, err3, f_new, coeffs
+
+
+def test_generated_kernels_equal_dense_formula():
+    rng = np.random.default_rng(11)
+
+    def cplx(*shape):
+        return (rng.normal(size=shape) + 1j * rng.normal(size=shape)).tolist()
+
+    for n in (1, 2, 3):
+        m, c = cplx(n, n), cplx(n)
+
+        def fun(t, y):
+            return tuple(sum(mij * yj for mij, yj in zip(mi, y)) + ci * t + y[i] * y[i - 1] / 4
+                         for i, (mi, ci) in enumerate(zip(m, c)))
+
+        step, interpolant = ode._kernels(n)
+        for t, h in rng.uniform(-1.0, 1.0, size=(8, 2)).tolist():
+            y = cplx(n)
+            f = fun(t, y)
+            y_new, err5, err3, ks = step(fun, t, h, y, f, 1e-13, 1e-10)
+            ref_y, ref_err5, ref_err3, f_new, ref_coeffs = _dense_dop853(
+                fun, t, h, y, f, 1e-13, 1e-10)
+            assert list(y_new) == ref_y and (err5, err3) == (ref_err5, ref_err3)
+            assert interpolant(fun, t, h, y, y_new, f_new, ks) == ref_coeffs
+
+
 def test_integrate_tracks_phi():
     seed = algebraic_solution(1.0, P1, with_phi=True, phi0=0.3)
     grid = np.linspace(1.0, 8.0, 30)
@@ -303,6 +397,15 @@ def test_import_leaves_all_of_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, cwd=src, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+def test_import_generates_no_kernels():
+    # a CLI child that never integrates must not pay for kernel generation
+    src = Path(ode.__file__).resolve().parents[1]
+    code = "import dp3.cli, dp3.ode; print(len(dp3.ode._KERNELS))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, cwd=src, timeout=60)
+    assert out.stdout.strip() == "0"
 
 
 # ----------------------------------------------------------- Hamiltonians
