@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .asymptotics import (
-    LargeTauChart,
     du_small,
     large_tau_chart,
     small_tau_chart,
@@ -42,11 +41,6 @@ class LargeTauFit:
     condition: float
     oscillation_amplitude: float
     special: bool  # no resolvable oscillation: degenerate-chart candidate
-
-    def chart(self, params: EquationParams, eps1: int, a: complex) -> LargeTauChart:
-        special = "g21_zero" if self.special else "none"
-        return LargeTauChart(params, eps1, a, special, self.nu_plus_1,
-                             None, self.z, 0.0j, "real")
 
 
 def _wrap_mod_2pi_i(z: complex) -> complex:
@@ -79,7 +73,8 @@ def fit_large_tau(traj: Trajectory, params: EquationParams,
     theta = 3.0 * math.sqrt(3.0) * params.abs_coupling ** (1.0 / 3.0) * m ** (2.0 / 3.0)
     if theta.min() < 50.0:
         raise ConditionViolationError(
-            f"fit window starts at theta = {theta.min():.1f} < 50; move tau_a outward")
+            f"fit window starts at |tau| = {m.min():.4g} (theta = {theta.min():.1f} < 50); "
+            f"it must start at |tau| >= {_theta_floor(params):.4g}")
     C = ((-1.0) ** (eps1 % 2)) * params.eps * math.sqrt(params.abs_coupling) / 3.0 ** 0.25
     osc = np.asarray(traj.u, dtype=complex) / C - np.sqrt(theta / 12.0)
     amp = float(np.max(np.abs(osc)))
@@ -296,9 +291,20 @@ def verify_connection(pt: MonodromyPoint, params: EquationParams,
     ``seed_state`` replaces the small-chart seed when the exact solution
     is known (then only the large side is under test and the small-chart
     conditions are not required).
+
+    Every fit window lies above the theta > 50 floor, so a smallest rung
+    ``tau1 / 2**(tau1_steps - 1)`` below it raises
+    ``ConditionViolationError`` before anything is integrated.
     """
     if tau0_steps < 1 or tau1_steps < 1:
         raise ConditionViolationError("tau0_steps and tau1_steps must be at least 1")
+    floor = _theta_floor(params)
+    halvings = 2.0 ** (tau1_steps - 1)
+    if tau1 / halvings < floor:
+        raise ConditionViolationError(
+            f"the smallest fit window ends at tau1 / 2**(tau1_steps - 1) = {tau1 / halvings:.4g}, "
+            f"below the theta > 50 floor |tau| = {floor:.4g}; with tau1_steps = {tau1_steps} "
+            f"the smallest admissible tau1 is {floor * halvings:.1f}")
     sc = None if seed_state is not None else small_tau_chart(pt, eps1, params)
     lc = large_tau_chart(pt, eps1, params)
     phase = cmath.exp(1j * math.pi * eps1)
@@ -308,7 +314,7 @@ def verify_connection(pt: MonodromyPoint, params: EquationParams,
 
     grids = []
     for t1 in tau1_list:
-        win_lo = max(t1 / window_factor, _theta_floor(params))
+        win_lo = max(t1 / window_factor, floor)
         grids.append(np.linspace(win_lo, t1, fit_points))
 
     table = []

@@ -11,6 +11,12 @@ matrices at both irregular points, cyclic and semi-cyclic residuals) and
 the discrete group actions used by the asymptotic charts: the two families
 of sector rotations, the Backlund shift of ``a``, and the Lie-point
 symmetries.
+
+Apart from the Backlund shift, every group action composes three
+primitives, the only code that writes out matrix entries: ``_shift``
+(``G -> (i S sigma1)^k G``, ``S`` the Stokes factor at the origin),
+``_scale`` (``G -> G diag(d, 1/d)``) and ``_flip_a`` (``F(0, 1)``,
+``a -> -a``).  The docstrings of the public actions give the compositions.
 """
 
 from __future__ import annotations
@@ -224,149 +230,90 @@ def cyclic_residuals(pt: MonodromyPoint) -> tuple[float, float]:
     return float(cyc), float(semi)
 
 
-def apply_F(pt: MonodromyPoint, eps1: int, eps2: int) -> MonodromyPoint:
-    """Sector-rotation action on the manifold for real-axis charts,
-    indexed by ``eps1, eps2 in {0, +1, -1}``.  ``s00`` is always fixed and
-    ``a`` maps to ``(-1)**eps2 * a``.
+def _shift(pt: MonodromyPoint, k: int) -> MonodromyPoint:
+    """``G -> (i S sigma1)^k G`` for ``k in {0, +1, -1}``, where
+    ``S = [[1, s00], [0, 1]]`` is the Stokes factor at the origin; ``a`` and
+    the multipliers are unchanged."""
+    if k == 0:
+        return pt
+    s00, g11, g12, g21, g22 = pt.s00, pt.g11, pt.g12, pt.g21, pt.g22
+    if k == 1:
+        return MonodromyPoint(
+            pt.a, s00, pt.s0inf, pt.s1inf,
+            1j * (g21 + s00 * g11), 1j * (g22 + s00 * g12), 1j * g11, 1j * g12,
+        )
+    return MonodromyPoint(
+        pt.a, s00, pt.s0inf, pt.s1inf,
+        -1j * g21, -1j * g22, -1j * (g11 - s00 * g21), -1j * (g12 - s00 * g22),
+    )
 
-    The ``s1inf`` images of the a-flipping cases carry an extra
-    ``e^{4 pi a}`` relative to their naive half-period scalings: the image
-    multiplier is read in the index frame of the new parameter, and the
-    defining relations of the manifold (which pin ``s1inf`` through the
-    quadratic relation in ``g12, g22``) force this normalisation."""
-    if eps1 not in (0, 1, -1) or eps2 not in (0, 1, -1):
-        raise ConditionViolationError("eps1 and eps2 must be 0 or +-1")
+
+def _scale(pt: MonodromyPoint, d: complex) -> MonodromyPoint:
+    """``G -> G diag(d, 1/d)`` with ``s0inf -> d^2 s0inf`` and
+    ``s1inf -> s1inf / d^2``; stays on the manifold for every ``d != 0``."""
+    d2 = d * d
+    return MonodromyPoint(
+        pt.a, pt.s00, pt.s0inf * d2, pt.s1inf / d2,
+        pt.g11 * d, pt.g12 / d, pt.g21 * d, pt.g22 / d,
+    )
+
+
+def _flip_a(pt: MonodromyPoint) -> MonodromyPoint:
+    """The coupling-sector rotation ``F(0, 1)``: ``a -> -a``, ``s00`` fixed."""
     a, s00, s0, s1 = pt.a, pt.s00, pt.s0inf, pt.s1inf
     g11, g12, g21, g22 = pt.g11, pt.g12, pt.g21, pt.g22
     eh = cmath.exp(0.5 * cmath.pi * a)  # e^{pi a / 2}
     ep = eh * eh
     em = 1.0 / ep
-    a_new = a if eps2 == 0 else -a
-    case = (eps1, eps2)
-    if case == (0, 0):
-        return pt
-    if case == (0, -1):
-        return MonodromyPoint(
-            a_new, s00, s1 * em, s0 * ep**3,
-            -g22 / eh,
-            -(g21 + s0 * g22) * eh,
-            -(g12 - s00 * g22) / eh,
-            -(g11 - s00 * g21 + (g12 - s00 * g22) * s0) * eh,
-        )
-    if case == (0, 1):
-        return MonodromyPoint(
-            a_new, s00, s1 * em, s0 * ep**3,
-            -1j * g12 / eh,
-            -1j * (g11 + s0 * g12) * eh,
-            -1j * g22 / eh,
-            -1j * (g21 + s0 * g22) * eh,
-        )
-    if case == (-1, 0):
-        return MonodromyPoint(
-            a_new, s00, -s0 * em, -s1 * ep,
-            g21 / eh,
-            -g22 * eh,
-            (g11 - s00 * g21) / eh,
-            -(g12 - s00 * g22) * eh,
-        )
-    if case == (-1, -1):
-        return MonodromyPoint(
-            a_new, s00, -s1, -s0 * ep * ep,
-            g12 - s00 * g22,
-            -g11 + s00 * g21 - (g12 - s00 * g22) * s0,
-            g22 - (g12 - s00 * g22) * s00,
-            -g21 + (g11 - s00 * g21) * s00 - (g22 - (g12 - s00 * g22) * s00) * s0,
-        )
-    if case == (-1, 1):
-        return MonodromyPoint(
-            a_new, s00, -s1, -s0 * ep * ep,
-            1j * g22,
-            -1j * (g21 + s0 * g22),
-            1j * (g12 - s00 * g22),
-            -1j * (g11 - s00 * g21 + (g12 - s00 * g22) * s0),
-        )
-    if case == (1, 0):
-        return MonodromyPoint(
-            a_new, s00, -s0 * ep, -s1 * em,
-            (g21 + s00 * g11) * eh,
-            -(g22 + s00 * g12) / eh,
-            g11 * eh,
-            -g12 / eh,
-        )
-    if case == (1, -1):
-        return MonodromyPoint(
-            a_new, s00, -s1 * em * em, -s0 * ep**4,
-            g12 * em,
-            -(g11 + s0 * g12) * ep,
-            g22 * em,
-            -(g21 + s0 * g22) * ep,
-        )
-    # case (1, 1); the g21 component follows from composing the pure
-    # eps2-rotation after the pure eps1-rotation, which reproduces every
-    # other component of this case
     return MonodromyPoint(
-        a_new, s00, -s1 * em * em, -s0 * ep**4,
-        1j * (g22 + s00 * g12) * em,
-        -1j * (g21 + s00 * g11 + (g22 + s00 * g12) * s0) * ep,
-        1j * g12 * em,
-        -1j * (g11 + s0 * g12) * ep,
+        -a, s00, s1 * em, s0 * ep**3,
+        -1j * g12 / eh,
+        -1j * (g11 + s0 * g12) * eh,
+        -1j * g22 / eh,
+        -1j * (g21 + s0 * g22) * eh,
     )
+
+
+def _rotate_tau(pt: MonodromyPoint, p: int, l: int) -> MonodromyPoint:
+    """The quarter rotation ``tau -> i tau`` on the manifold."""
+    return _shift(_scale(pt, cmath.exp(0.25 * l * cmath.pi * pt.a)), (p + l) // 2)
+
+
+def apply_F(pt: MonodromyPoint, eps1: int, eps2: int) -> MonodromyPoint:
+    """Sector-rotation action on the manifold for real-axis charts,
+    indexed by ``eps1, eps2 in {0, +1, -1}``.  ``s00`` is always fixed and
+    ``a`` maps to ``(-1)**eps2 * a``.
+
+    ``F(eps1, 0) = shift^eps1 . scale((-i e^{pi a/2})^eps1)``,
+    ``F(0, -1) = shift^-1 . F(0, 1)``, and the mixed cases apply the ray
+    rotation first: ``F(eps1, eps2) = F(0, eps2) . F(eps1, 0)``.  The
+    reverse order is a different map."""
+    if eps1 not in (0, 1, -1) or eps2 not in (0, 1, -1):
+        raise ConditionViolationError("eps1 and eps2 must be 0 or +-1")
+    if eps1:
+        d = -1j * cmath.exp(0.5 * cmath.pi * pt.a)
+        pt = _shift(_scale(pt, d if eps1 == 1 else 1.0 / d), eps1)
+    if eps2:
+        pt = _flip_a(pt)
+        if eps2 == -1:
+            pt = _shift(pt, -1)
+    return pt
 
 
 def apply_Fhat(pt: MonodromyPoint, eps1: int, eps2: int) -> MonodromyPoint:
     """Sector-rotation action used by the imaginary-axis charts, indexed by
     ``eps1 in {+1, -1}`` and ``eps2 in {0, +1, -1}``.  ``s00`` is fixed;
     the ``eps2 = 0`` cases compose a quarter rotation with a coupling-sign
-    flip and therefore send ``a -> -a`` (the ``eps2 = +-1`` cases fix ``a``)."""
+    flip and therefore send ``a -> -a`` (the ``eps2 = +-1`` cases fix ``a``).
+
+    With ``R(p, l)`` the ``rotate_tau`` of ``lie_point_monodromy``:
+    ``Fhat(eps1, +-1) = R(+-1, eps1)`` and
+    ``Fhat(eps1, 0) = F(0, eps1) . R(eps1, -eps1)``, the rotation first."""
     if eps1 not in (1, -1) or eps2 not in (0, 1, -1):
         raise ConditionViolationError("eps1 must be +-1 and eps2 in {0, +-1}")
-    a, s00, s0, s1 = pt.a, pt.s00, pt.s0inf, pt.s1inf
-    g11, g12, g21, g22 = pt.g11, pt.g12, pt.g21, pt.g22
-    q = cmath.exp(0.25 * cmath.pi * a)  # e^{pi a / 4}
-    h = q * q  # e^{pi a / 2}
-    case = (eps1, eps2)
-    if case == (-1, 0):
-        return MonodromyPoint(
-            -a, s00, s1 / h**3, s0 * h**7,
-            -g22 / q**3,
-            -(g21 + s0 * g22) * q**3,
-            -(g12 - s00 * g22) / q**3,
-            -(g11 + s0 * g12 - (g21 + s0 * g22) * s00) * q**3,
-        )
-    if case == (-1, -1):
-        return MonodromyPoint(
-            a, s00, s0 / h, s1 * h,
-            -1j * g21 / q,
-            -1j * g22 * q,
-            -1j * (g11 - s00 * g21) / q,
-            -1j * (g12 - s00 * g22) * q,
-        )
-    if case == (-1, 1):
-        return MonodromyPoint(
-            a, s00, s0 / h, s1 * h,
-            g11 / q, g12 * q, g21 / q, g22 * q,
-        )
-    if case == (1, 0):
-        return MonodromyPoint(
-            -a, s00, s1 / h, s0 * h**5,
-            -1j * g12 / q,
-            -1j * (g11 + s0 * g12) * q,
-            -1j * g22 / q,
-            -1j * (g21 + s0 * g22) * q,
-        )
-    if case == (1, -1):
-        return MonodromyPoint(
-            a, s00, s0 * h, s1 / h,
-            g11 * q, g12 / q, g21 * q, g22 / q,
-        )
-    # case (1, 1)
-    return MonodromyPoint(
-        a, s00, s0 * h, s1 / h,
-        1j * (g21 + s00 * g11) * q,
-        1j * (g22 + s00 * g12) / q,
-        1j * g11 * q,
-        1j * g12 / q,
-    )
+    if eps2:
+        return _rotate_tau(pt, eps2, eps1)
+    return apply_F(_rotate_tau(pt, eps1, -eps1), 0, eps1)
 
 
 def backlund_monodromy(pt: MonodromyPoint, direction: str) -> MonodromyPoint:
@@ -385,83 +332,25 @@ def backlund_monodromy(pt: MonodromyPoint, direction: str) -> MonodromyPoint:
     raise ConditionViolationError("direction must be 'up' or 'down'")
 
 
-def _new_stokes_from_shift(pt: MonodromyPoint, shift: int, D: np.ndarray,
-                           flip: bool) -> tuple[complex, complex, np.ndarray]:
-    """New (s0inf, s1inf, S0_{new,0}) when the new Stokes factors are
-    ``D (sigma1?) S_inf_{old, k+shift} (sigma1?) D^-1``."""
-    Dinv = np.diag(1.0 / np.diag(D))
-
-    def conj(mat: np.ndarray) -> np.ndarray:
-        if flip:
-            mat = SIGMA1 @ mat @ SIGMA1
-        return D @ mat @ Dinv
-
-    s_new_0 = conj(_stokes_inf(pt, shift))
-    s_new_1 = conj(_stokes_inf(pt, shift + 1))
-    if abs(s_new_0[0, 1]) > 1e-12 * max(1.0, abs(s_new_0[1, 0])) or abs(
-        s_new_1[1, 0]
-    ) > 1e-12 * max(1.0, abs(s_new_1[0, 1])):
-        raise ConditionViolationError("transformed Stokes factors lost triangularity")
-    return complex(s_new_0[1, 0]), complex(s_new_1[0, 1]), _upper(pt.s00)
-
-
 def lie_point_monodromy(pt: MonodromyPoint, kind: str, p: int = 1, l: int = 1) -> MonodromyPoint:
     """Action on the manifold of the three Lie-point symmetries:
     ``negate_tau`` (tau -> -tau), ``negate_a`` (a -> -a), and
     ``rotate_tau`` (tau -> i tau).  For the first two the result is
     independent of ``l``; for the rotation all four (p, l) sign cases
-    are distinct."""
+    are distinct.
+
+    ``negate_tau(p) = F(p, 0)``, ``negate_a(p) = scale(e^{pi a}) . F(0, p)``
+    with ``a`` the input's, and
+    ``rotate_tau(p, l) = shift^((p + l)/2) . scale(e^{l pi a/4})``."""
     if p not in (1, -1) or l not in (1, -1):
         raise ConditionViolationError("p and l must be +-1")
-    a = pt.a
-    G = pt.G
-    s_zero_0 = _upper(pt.s00)
     if kind == "negate_tau":
-        D = _exp_sigma3(0.5 * cmath.pi * l * (a - 1j))
-        s0n, s1n, s_zero_new = _new_stokes_from_shift(pt, p + l, D, flip=False)
-        if p == 1:
-            Gn = 1j * s_zero_new @ SIGMA1 @ G @ _exp_sigma3(-0.25j * cmath.pi) \
-                @ _exp_sigma3(0.5 * cmath.pi * (a - 0.5j))
-        else:
-            Gn = -1j * SIGMA1 @ np.linalg.inv(s_zero_new) @ G \
-                @ _exp_sigma3(0.25j * cmath.pi) @ _exp_sigma3(-0.5 * cmath.pi * (a - 0.5j))
-        out = pt.with_G(Gn, s0inf=s0n, s1inf=s1n)
-    elif kind == "negate_a":
-        a_new = -a
-        D = _exp_sigma3(0.5 * cmath.pi * a_new * l)
-        s0n, s1n, s_zero_new = _new_stokes_from_shift(pt, l, D, flip=True)
-        s_inf_new_1 = _upper(s1n)
-        K = (
-            _exp_sigma3(cmath.pi * (a_new - 0.5j))
-            @ SIGMA3
-            @ np.linalg.inv(s_inf_new_1)
-            @ SIGMA3
-            @ _exp_sigma3(-cmath.pi * (a_new - 0.5j))
-            @ _exp_sigma3(0.5 * cmath.pi * a_new)
-        )
-        Kinv = np.linalg.inv(K)
-        if p == 1:
-            Gn = -1j * G @ SIGMA1 @ Kinv
-        else:
-            Gn = -SIGMA1 @ np.linalg.inv(s_zero_new) @ G @ SIGMA1 @ Kinv
-        out = pt.with_G(Gn, a=a_new, s0inf=s0n, s1inf=s1n)
-    elif kind == "rotate_tau":
-        quarter = _exp_sigma3(0.25 * cmath.pi * a)
-        quarter_inv = _exp_sigma3(-0.25 * cmath.pi * a)
-        s0n = pt.s0inf * cmath.exp(0.5 * cmath.pi * l * a)
-        s1n = pt.s1inf * cmath.exp(-0.5 * cmath.pi * l * a)
-        if p == -1 and l == 1:
-            Gn = G @ quarter
-        elif p == 1 and l == -1:
-            Gn = G @ quarter_inv
-        elif p == -1 and l == -1:
-            Gn = -1j * SIGMA1 @ np.linalg.inv(s_zero_0) @ G @ quarter_inv
-        else:  # p == l == 1
-            Gn = 1j * s_zero_0 @ SIGMA1 @ G @ quarter
-        out = pt.with_G(Gn, s0inf=s0n, s1inf=s1n)
-    else:
-        raise ConditionViolationError(f"unknown Lie-point symmetry kind {kind!r}")
-    return out
+        return apply_F(pt, p, 0)
+    if kind == "negate_a":
+        return _scale(apply_F(pt, 0, p), cmath.exp(cmath.pi * pt.a))
+    if kind == "rotate_tau":
+        return _rotate_tau(pt, p, l)
+    raise ConditionViolationError(f"unknown Lie-point symmetry kind {kind!r}")
 
 
 def point_to_json(pt: MonodromyPoint) -> str:

@@ -68,6 +68,33 @@ def test_eval_invalid_point_exit3(tmp_path, capsys):
     assert payload["error"] == "condition-violation"
 
 
+def test_verify_tau1_below_theta_floor_exit3(point_file, capsys):
+    path, _ = point_file
+    code, out, err = run_cli(capsys, [
+        "verify-connection", "--point", path, "--tau1", "100", "--eps", "1", "--b", "1"])
+    assert code == 3 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "condition-violation"
+    assert "smallest admissible tau1 is 121.8" in payload["message"]
+
+
+def test_map_matches_library(point_file, capsys):
+    from dp3.monodromy import apply_F, apply_Fhat, lie_point_monodromy
+    path, pt = point_file
+    cases = (
+        (["--map", "F", "--eps1", "-1", "--eps2", "1"], apply_F(pt, -1, 1)),
+        (["--map", "Fhat", "--eps1", "1", "--eps2", "0"], apply_Fhat(pt, 1, 0)),
+        (["--map", "lie", "--kind", "negate_a", "--p", "-1"],
+         lie_point_monodromy(pt, "negate_a", -1)),
+        (["--map", "lie", "--kind", "rotate_tau", "--p", "1", "--l", "1"],
+         lie_point_monodromy(pt, "rotate_tau", 1, 1)),
+    )
+    for argv, expected in cases:
+        code, out, _ = run_cli(capsys, ["monodromy", "map", "--point", path, *argv])
+        assert code == 0
+        assert out.strip() == point_to_json(expected)
+
+
 def test_bad_tolerance_exit2(point_file, capsys):
     path, _ = point_file
     code, _, err = run_cli(capsys, [

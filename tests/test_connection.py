@@ -315,3 +315,25 @@ def test_convergence_rows_keep_fit_diagnostics(fit_point):
     for row in json.loads(rep.to_json())["convergence_table"]:
         assert row["residual_norm"] > 0 and math.isfinite(row["residual_norm"])
         assert row["condition"] >= 1
+
+
+def test_tau1_below_theta_floor_raises_before_integrating(fit_point, monkeypatch):
+    # at |b| = 1 the floor is |tau| = 30.45, so three rungs need tau1 >= 121.8
+    from dp3 import connection
+
+    def no_integration(*args, **kw):
+        raise AssertionError("integrate_ray must not run")
+
+    monkeypatch.setattr(connection, "integrate_ray", no_integration)
+    for tau1 in (20.0, 100.0):
+        with pytest.raises(ConditionViolationError,
+                           match=r"floor \|tau\| = 30\.45.*smallest admissible tau1 is 121\.8"):
+            verify_connection(fit_point, P1, tau1=tau1)
+
+
+def test_fit_window_below_floor_names_its_start(fit_point):
+    ch = large_tau_chart(fit_point, 0, P1)
+    traj = synthetic_trajectory(ch, np.linspace(25.0, 100.0, 50))
+    with pytest.raises(ConditionViolationError,
+                       match=r"starts at \|tau\| = 25 .* must start at \|tau\| >= 30\.45"):
+        fit_large_tau(traj, P1)
