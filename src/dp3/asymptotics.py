@@ -60,6 +60,15 @@ def _check_a(a: complex) -> None:
         raise ConditionViolationError("charts need a finite a")
 
 
+def _magnitude(tau_abs: float) -> float:
+    """``tau_abs`` as a float, which the evaluators need positive and finite
+    (a NaN fails the comparison too)."""
+    m = float(tau_abs)
+    if not 0.0 < m < math.inf:
+        raise ConditionViolationError("tau magnitude must be positive and finite")
+    return m
+
+
 def _ray_phase(eps1: int) -> complex:
     return cmath.exp(1j * math.pi * eps1)
 
@@ -167,9 +176,7 @@ def u_large(chart: LargeTauChart, tau_abs: float) -> complex:
     """Leading large-argument value at |tau| = tau_abs on the chart's ray
     (all dropped correction terms set to zero)."""
     P = chart.params
-    m = float(tau_abs)
-    if m <= 0:
-        raise ConditionViolationError("tau magnitude must be positive")
+    m = _magnitude(tau_abs)
     if chart.special != "none":
         algebraic = P.eps * P.coupling_pow23 * _cbrt_on_ray(chart.eps1, m) / 2.0
         return algebraic + _special_oscillation(chart, m)
@@ -187,7 +194,7 @@ def H_large(chart: LargeTauChart, tau_abs: float) -> complex:
     """Leading Hamiltonian value on the chart's ray; the degenerate charts
     share the generic formula with nu + 1 = 0."""
     P = chart.params
-    m = float(tau_abs)
+    m = _magnitude(tau_abs)
     tau = _ray_phase(chart.eps1) * m
     ash = chart.a - 0.5j * P.sign2
     t13 = _cbrt_on_ray(chart.eps1, m)
@@ -285,9 +292,7 @@ def _small_brackets(chart: SmallTauChart, m: float):
 def u_small(chart: SmallTauChart, tau_abs: float) -> complex:
     """Leading small-argument value at |tau| = tau_abs on the chart's ray."""
     P = chart.params
-    m = float(tau_abs)
-    if m <= 0:
-        raise ConditionViolationError("tau magnitude must be positive")
+    m = _magnitude(tau_abs)
     tau = _ray_phase(chart.eps1) * m
     if chart.log_mode:
         L1 = chart.a2 + chart.b2 * math.log(m)
@@ -301,7 +306,7 @@ def u_small(chart: SmallTauChart, tau_abs: float) -> complex:
 def du_small(chart: SmallTauChart, tau_abs: float) -> complex:
     """Analytic tau-derivative of ``u_small`` along the ray."""
     P = chart.params
-    m = float(tau_abs)
+    m = _magnitude(tau_abs)
     tau = _ray_phase(chart.eps1) * m
     if chart.log_mode:
         L1 = chart.a2 + chart.b2 * math.log(m)
@@ -316,7 +321,7 @@ def du_small(chart: SmallTauChart, tau_abs: float) -> complex:
 def H_small(chart: SmallTauChart, tau_abs: float) -> complex:
     """Leading small-argument Hamiltonian on the chart's ray."""
     P = chart.params
-    m = float(tau_abs)
+    m = _magnitude(tau_abs)
     tau = _ray_phase(chart.eps1) * m
     s = P.sign2
     if chart.log_mode:
@@ -331,7 +336,7 @@ def tau_function_asymptotic(chart: SmallTauChart, tau_abs: float, const: complex
     """Small-argument tau-function form; ``const`` is the undetermined
     overall factor."""
     P = chart.params
-    m = float(tau_abs)
+    m = _magnitude(tau_abs)
     tau = _ray_phase(chart.eps1) * m
     s = P.sign2
     if chart.log_mode:
@@ -380,6 +385,7 @@ def u_imag(pt: MonodromyPoint, eps1: int, params: EquationParams,
     of the ray (which flips the coupling sign and acts on the monodromy
     data) and the real-axis kernels, with the overall prefactor i * eps1
     coming from the rotation's action on solutions."""
+    _magnitude(tau_abs)
     chart = imag_chart(pt, eps1, params, regime)
     if regime == "large":
         return 1j * eps1 * u_large(chart, tau_abs)
@@ -390,6 +396,7 @@ def du_imag(pt: MonodromyPoint, eps1: int, params: EquationParams,
             tau_abs: float) -> complex:
     """Analytic tau-derivative of the small-regime imaginary-ray value:
     the i*eps1 prefactor cancels against d tau_rotated / d tau."""
+    _magnitude(tau_abs)
     chart = imag_chart(pt, eps1, params, "small")
     return du_small(chart, tau_abs)
 

@@ -154,6 +154,7 @@ def _cmd_chart(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    _check_finite("--tau", args.tau)
     pt = _load_point(args.point)
     params = _params_from(args)
     if args.imaginary:
@@ -229,6 +230,7 @@ def _cmd_verify(args) -> int:
 
 
 def _ladder_entries(args, params):
+    _check_finite("--tau", args.tau)
     a0 = _parse_complex(args.a0) if args.a0 else 0.0
     if args.algebraic_seed:
         if a0 != 0:

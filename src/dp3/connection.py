@@ -294,10 +294,18 @@ def verify_connection(pt: MonodromyPoint, params: EquationParams,
 
     Every fit window lies above the theta > 50 floor, so a smallest rung
     ``tau1 / 2**(tau1_steps - 1)`` below it raises
-    ``ConditionViolationError`` before anything is integrated.
+    ``ConditionViolationError`` before anything is integrated, as do a
+    non-finite ``tau0`` or ``tau1``, ``fit_points`` below 5 and a
+    ``window_factor`` that is not a finite number above 1.
     """
     if tau0_steps < 1 or tau1_steps < 1:
         raise ConditionViolationError("tau0_steps and tau1_steps must be at least 1")
+    if not (math.isfinite(tau0) and math.isfinite(tau1)):
+        raise ConditionViolationError("tau0 and tau1 must be finite")
+    if fit_points < 5:
+        raise ConditionViolationError("fit_points must be at least 5")
+    if not 1.0 < window_factor < math.inf:
+        raise ConditionViolationError("window_factor must be a finite number above 1")
     floor = _theta_floor(params)
     halvings = 2.0 ** (tau1_steps - 1)
     if tau1 / halvings < floor:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import cmath
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,16 +82,6 @@ class MonodromyPoint:
     def G(self) -> np.ndarray:
         """Connection matrix as a 2x2 array."""
         return np.array([[self.g11, self.g12], [self.g21, self.g22]], dtype=complex)
-
-    def with_G(self, G: np.ndarray, **kw) -> "MonodromyPoint":
-        return replace(
-            self,
-            g11=complex(G[0, 0]),
-            g12=complex(G[0, 1]),
-            g21=complex(G[1, 0]),
-            g22=complex(G[1, 1]),
-            **kw,
-        )
 
 
 @dataclass(frozen=True)

@@ -8,14 +8,20 @@ The equation itself is
 
     u'' = (u')^2/u - u'/tau + (-8 eps u^2 + 2 a b)/tau + b^2/u,
 
-singular exactly at u = 0 and tau = 0.  All integration happens along a
-fixed ray in the complex tau plane, parametrised by s = |tau|.
+singular exactly at u = 0 and tau = 0.  Its code is the one expression
+``_DDU``, in tau, u, u' and three per-ray constants.  All integration
+happens along a fixed ray in the complex tau plane, parametrised by
+s = |tau|.
 
 The stepper's step and interpolant are straight-line code generated from
-the DOP853 tableau below, once per component count, the first time
-``solve_ivp`` runs (never at import).  Each expression keeps the nonzero
+the DOP853 tableau below, once per component count, the first time they
+are needed (never at import).  Each expression keeps the nonzero
 coefficients in ascending stage order, so the steps, ``nfev`` and output
 samples are the same floats as the dense formula y + h sum_j a_sj K_j.
+The generic kernels call a right-hand side per stage; the fused ones that
+``integrate_ray`` uses write ``_DDU`` into every stage instead, with the
+ray's constants bound by a factory call, and give the same floats as
+the generic kernels driven by the equivalent closure.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from __future__ import annotations
 import cmath
 import io
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,6 +91,12 @@ class Trajectory:
     H: np.ndarray
     nsteps: int = 0  # accepted solver steps; 0 when not built by integrate_ray
     nfev: int = 0  # right-hand-side calls, dense-output stages included
+    # solver statistics, also 0.0 when not built by integrate_ray
+    h_min: float = 0.0  # smallest and largest accepted step in |tau|
+    h_max: float = 0.0
+    u_abs_min: float = 0.0  # smallest and largest |u| at the seed and the accepted steps
+    u_abs_max: float = 0.0
+    wall_s: float = 0.0  # integrate_ray's wall time in seconds
 
     @property
     def ray_phase(self) -> complex:
@@ -104,11 +117,23 @@ def _check_state(tau: complex, u: complex):
         raise SingularityError("tau = 0 is a singular point of the equation")
 
 
+# The equation's right-hand side: u'' in terms of tau, u, du and the per-ray
+# constants of _ray_constants.  It is written only here; _ddu and the fused
+# stages of the generated kernels are both compiled from it.  The constants
+# fold exactly: ((-8.0 * eps) * u) * u and (2.0 * a) * b associate left.
+_DDU = "du * du / u - du / tau + (c_u2 * u * u + c_ab) / tau + b2 / u"
+_ddu_expr = eval(compile(f"lambda tau, u, du, c_u2, c_ab, b2: {_DDU}", "<u''>", "eval"))
+
+
+def _ray_constants(a: complex, params: EquationParams) -> tuple:
+    """(c_u2, c_ab, b2) = (-8 eps, 2 a b, b^2), the constants of ``_DDU``."""
+    return -8.0 * params.eps, 2.0 * a * params.b, params.b**2
+
+
 def _ddu(tau, u, du, a: complex, params: EquationParams):
     """u'' from the equation, for scalars or numpy arrays (no singularity
     check)."""
-    return du * du / u - du / tau + (-8.0 * params.eps * u * u + 2.0 * a * params.b) / tau \
-        + params.b**2 / u
+    return _ddu_expr(tau, u, du, *_ray_constants(a, params))
 
 
 def dp3_rhs(state: SolutionState, a: complex, params: EquationParams) -> tuple[complex, complex]:
@@ -233,7 +258,9 @@ def algebraic_solution(tau: complex, params: EquationParams,
                        with_phi: bool = False, phi0: complex = 0.0) -> SolutionState:
     """The exact cube-root solution at ``a = 0``: ``u = b^{2/3} tau^{1/3} /
     (2 eps)`` with the real-cube-root convention, plus its derivative (and
-    phi on the positive ray when requested)."""
+    phi on the positive ray when requested).  Singular at tau = 0."""
+    if tau == 0:
+        raise SingularityError("tau = 0 is a singular point of the equation")
     c = params.b_pow23 / (2.0 * params.eps)
     t13 = _ray_cbrt(tau)
     u = c * t13
@@ -267,8 +294,16 @@ def integrate_ray(initial: SolutionState, a: complex, params: EquationParams,
     between |tau0| and ``tau_end``, endpoints included: the interpolant is
     not extrapolated.  ``phi`` is advanced by the same stepper when present
     on the seed.  The trajectory records the solver's accepted steps
-    (``nsteps``) and right-hand-side calls (``nfev``).
+    (``nsteps``), right-hand-side calls (``nfev``), the smallest and largest
+    accepted step, the smallest and largest ``|u|`` at the seed and the
+    accepted steps, and the wall time of the call.
+
+    The equation is not called per stage: the fused kernels of
+    ``_fused_kernels`` evaluate ``_DDU`` inline with this ray's phase and
+    constants bound, and are handed to ``solve_ivp``, which is called
+    through the module global.
     """
+    t_start = time.perf_counter()
     if not (_TOL_RANGE[0] <= tol <= _TOL_RANGE[1]):
         raise ConditionViolationError(f"tol must lie in [{_TOL_RANGE[0]}, {_TOL_RANGE[1]}]")
     with_phi = initial.phi is not None
@@ -289,19 +324,11 @@ def integrate_ray(initial: SolutionState, a: complex, params: EquationParams,
         if not np.all((min(s0, s1) <= s_req) & (s_req <= max(s0, s1))):
             raise ConditionViolationError("dense_at must lie between |tau0| and tau_end")
 
-    def rhs(s, y):
-        tau = phase * s
-        u, du = y[0], y[1]
-        if u == 0:
-            raise SingularityError(f"u vanished at |tau| = {s}")
-        ddu = _ddu(tau, u, du, a, params)
-        if with_phi:
-            return phase * du, phase * ddu, phase * (2.0 * a / tau + params.b / u)
-        return phase * du, phase * ddu
-
     y0 = [complex(initial.u), complex(initial.du)] + ([complex(initial.phi)] if with_phi else [])
+    rhs, step, interpolant = _fused_kernels(len(y0))(
+        phase, *_ray_constants(a, params), 2.0 * a, params.b)
     sol = solve_ivp(rhs, (s0, s1), y0, rtol=tol, atol=tol * 1e-3, dense_at=dense_at,
-                    bounds=(u_floor, u_ceil))
+                    bounds=(u_floor, u_ceil), kernels=(step, interpolant))
     if sol.status == 1:  # approached a zero or pole
         raise IntegrationFailureError(
             f"|u| left [{u_floor}, {u_ceil}] near |tau| = {sol.t_fail:.6g}; "
@@ -317,8 +344,12 @@ def integrate_ray(initial: SolutionState, a: complex, params: EquationParams,
     if not (np.all(tau_arr) and np.all(u_arr)):  # only a dense_at of 0 can do this
         raise SingularityError("u = 0 or tau = 0 at an output sample")
     H = _hamiltonian(tau_arr, u_arr, du_arr, a, params)
+    steps = np.abs(np.diff(sol.t))
     return Trajectory(params=params, a=a, tau=tau_arr, u=u_arr, du=du_arr,
-                      phi=phi_arr, H=H, nsteps=sol.t.size - 1, nfev=sol.nfev)
+                      phi=phi_arr, H=H, nsteps=steps.size, nfev=sol.nfev,
+                      h_min=float(steps.min()), h_max=float(steps.max()),
+                      u_abs_min=sol.u_abs_range[0], u_abs_max=sol.u_abs_range[1],
+                      wall_s=time.perf_counter() - t_start)
 
 
 # ------------------------------------------------------------ DOP853 stepper
@@ -423,14 +454,19 @@ _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_EXPONENT = -1.0 / 8.0  # error estimator of order 7
 
 _KERNELS: dict[int, tuple] = {}  # n -> (step, interpolant)
+_FUSED: dict[int, object] = {}  # n -> bind(phase, c_u2, c_ab, b2, a2, b)
 
 
 def _dot(row: dict, i: int) -> str:
-    """Source of sum_j row[j] K_j[i] over the nonzero coefficients."""
-    return " + ".join(f"{c!r} * k{j}_{i}" for j, c in sorted(row.items()) if c != 0.0)
+    """Source of sum_j row[j] K_j[i] over the nonzero coefficients.
+
+    The kernels put the complex operand of a product first (``k * c``,
+    ``(...) * h``): Python then calls complex multiplication at once rather
+    than after float's, and the product is the same to the bit."""
+    return " + ".join(f"k{j}_{i} * {c!r}" for j, c in sorted(row.items()) if c != 0.0)
 
 
-def _kernel_source(n: int) -> str:
+def _kernel_source(n: int, fused: bool = False) -> str:
     """Source of ``step`` and ``interpolant`` for n components.
 
     ``step(fun, t, h, y, f, atol, rtol)`` takes f = fun(t, y) and returns
@@ -439,15 +475,35 @@ def _kernel_source(n: int) -> str:
     one flat tuple, component index fastest.  ``interpolant(fun, t, h, y,
     y_new, f_new, ks)`` computes the three extra stages and returns, per
     component, the seven coefficients that ``_evaluate`` reads.
+
+    With ``fused`` (n = 2, or 3 when phi is tracked) each stage evaluates
+    the equation along a ray inline, from ``_DDU``, in place of calling
+    ``fun``, which the kernels then ignore.  The source defines ``bind(phase,
+    c_u2, c_ab, b2, a2, b)``, which closes the kernels and a matching
+    ``rhs(s, y)`` over one ray's constants (a2 = 2 a) and returns ``(rhs,
+    step, interpolant)``.  Each stage keeps the operations of the closure
+    it replaces, in the same order, so both give the same floats.
     """
     comps = range(n)
 
     def tup(items) -> str:  # with the trailing comma that n = 1 needs
         return "(" + "".join(f"{x}, " for x in items) + ")"
 
-    def stage(s: int) -> str:
-        args = tup(f"y{i} + h * ({_dot(_A_NONZERO[s - 1], i)})" for i in comps)
-        return f"    {tup(f'k{s}_{i}' for i in comps)} = fun(t + {_C[s]!r} * h, {args})"
+    def derivative(prefix: str) -> list[str]:
+        """Lines setting prefix0.. to the derivative d/ds at (s, u, du)."""
+        values = ("phase * du", f"phase * ({_DDU})", "phase * (a2 / tau + b / u)")
+        return ["    tau = phase * s",
+                "    if u == 0:",
+                '        raise SingularityError(f"u vanished at |tau| = {s}")'] \
+            + [f"    {prefix}{i} = {v}" for i, v in zip(comps, values)]
+
+    def stage(s: int) -> list[str]:
+        args = [f"y{i} + ({_dot(_A_NONZERO[s - 1], i)}) * h" for i in comps]
+        if not fused:
+            return [f"    {tup(f'k{s}_{i}' for i in comps)} = fun(t + {_C[s]!r} * h, {tup(args)})"]
+        # phi never feeds back, so its stage argument is not needed
+        return [f"    s = t + {_C[s]!r} * h", f"    u = {args[0]}", f"    du = {args[1]}"] \
+            + derivative(f"k{s}_")
 
     weights = _A_NONZERO[11]
     e3 = {j: weights.get(j, 0.0) - _E3_SHIFT.get(j, 0.0) for j in range(12)}
@@ -456,8 +512,9 @@ def _kernel_source(n: int) -> str:
     lines = ["def step(fun, t, h, y, f, atol, rtol):",
              f"    {ys} = y",
              f"    {tup(f'k0_{i}' for i in comps)} = f"]
-    lines += [stage(s) for s in range(1, 12)]
-    lines += [f"    n{i} = y{i} + h * ({_dot(weights, i)})" for i in comps]
+    for s in range(1, 12):
+        lines += stage(s)
+    lines += [f"    n{i} = y{i} + ({_dot(weights, i)}) * h" for i in comps]
     for i in comps:
         acc = "=" if i == 0 else "+="  # 0.0 + e * e is e * e, since e * e >= 0
         lines += [f"    sc = atol + max(abs(y{i}), abs(n{i})) * rtol",
@@ -472,13 +529,27 @@ def _kernel_source(n: int) -> str:
               f"    {news} = y_new",
               f"    {tup(f'k12_{i}' for i in comps)} = f_new",
               f"    {ks} = ks"]
-    lines += [stage(s) for s in range(13, 16)]
+    for s in range(13, 16):
+        lines += stage(s)
     lines += [f"    d{i} = n{i} - y{i}" for i in comps]
-    coeffs = (f"(d{i}, h * k0_{i} - d{i}, 2.0 * d{i} - h * (k12_{i} + k0_{i}), "
-              + "".join(f"h * ({_dot(row, i)}), " for row in _D_NONZERO) + ")"
+    coeffs = (f"(d{i}, k0_{i} * h - d{i}, d{i} * 2.0 - (k12_{i} + k0_{i}) * h, "
+              + "".join(f"({_dot(row, i)}) * h, " for row in _D_NONZERO) + ")"
               for i in comps)
     lines.append(f"    return [{', '.join(coeffs)}]")
+    if fused:
+        lines += ["", "def rhs(s, y):", "    u, du = y[0], y[1]"] + derivative("f") \
+            + [f"    return {tup(f'f{i}' for i in comps)}"]
+        lines = ["def bind(phase, c_u2, c_ab, b2, a2, b):"] \
+            + [f"    {line}" if line else "" for line in lines] \
+            + ["    return rhs, step, interpolant"]
     return "\n".join(lines) + "\n"
+
+
+def _compile(n: int, fused: bool) -> dict:
+    namespace: dict = {"SingularityError": SingularityError}
+    name = f"<DOP853 {'fused ' if fused else ''}kernels, n = {n}>"
+    exec(compile(_kernel_source(n, fused), name, "exec"), namespace)
+    return namespace
 
 
 def _kernels(n: int) -> tuple:
@@ -486,10 +557,19 @@ def _kernels(n: int) -> tuple:
     use and cached in ``_KERNELS``."""
     kernels = _KERNELS.get(n)
     if kernels is None:
-        namespace: dict = {}
-        exec(compile(_kernel_source(n), f"<DOP853 kernels, n = {n}>", "exec"), namespace)
+        namespace = _compile(n, fused=False)
         kernels = _KERNELS[n] = (namespace["step"], namespace["interpolant"])
     return kernels
+
+
+def _fused_kernels(n: int):
+    """``bind`` of the fused kernels for n = 2 or 3 components, generated
+    on first use and cached in ``_FUSED``; binding one ray's constants
+    compiles nothing."""
+    bind = _FUSED.get(n)
+    if bind is None:
+        bind = _FUSED[n] = _compile(n, fused=True)["bind"]
+    return bind
 
 
 @dataclass
@@ -502,6 +582,7 @@ class _RaySolution:
     status: int  # 0 reached the end, 1 |y[0]| left the bounds, -1 failed
     message: str = ""
     t_fail: float | None = None  # where a status != 0 integration stopped
+    u_abs_range: tuple[float, float] = (math.nan, math.nan)  # min, max |y[0]| at t
 
 
 def _rms(values) -> float:
@@ -533,7 +614,8 @@ def _exit_fraction(coeffs: list, y: list, lo: float, hi: float) -> float:
 
 
 def solve_ivp(fun, t_span: tuple[float, float], y0, rtol: float, atol: float,
-              dense_at=None, bounds: tuple[float, float] = (0.0, math.inf)) -> _RaySolution:
+              dense_at=None, bounds: tuple[float, float] = (0.0, math.inf),
+              kernels: tuple | None = None) -> _RaySolution:
     """Integrate y' = fun(t, y) over ``t_span`` with the DOP853 pair.
 
     ``fun`` maps a float and a sequence of complex scalars to a sequence
@@ -545,12 +627,17 @@ def solve_ivp(fun, t_span: tuple[float, float], y0, rtol: float, atol: float,
     estimate stops it (status -1).  The interpolant's three extra stages are
     computed only on steps that contain a point of ``dense_at``.  The
     integration stops with status 1 when ``|y[0]|`` leaves ``bounds``, with
-    the exit located inside the step.
+    the exit located inside the step; otherwise ``u_abs_range`` holds the
+    extremes of ``|y[0]|`` over ``t``.
 
     Each step and interpolant runs through the kernels ``_kernels(len(y0))``
     generated from the tableau; they give the same floats as the dense
     formula over the full tableau, whose terms they drop only where the
-    coefficient is zero.  The name and the ``t`` and ``nfev`` fields follow
+    coefficient is zero.  ``kernels`` replaces that (step, interpolant) pair:
+    ``integrate_ray`` passes the fused pair, whose stages evaluate the
+    equation inline, with the matching ``fun`` that the initial step and
+    the end-of-step derivative still call; ``nfev`` counts the fused
+    stages as calls.  The name and the ``t`` and ``nfev`` fields follow
     scipy's ``solve_ivp``: ``perfbench/tracer.py`` replaces this module
     attribute to count steps and right-hand-side calls, so ``integrate_ray``
     calls it through the module global.
@@ -560,7 +647,7 @@ def solve_ivp(fun, t_span: tuple[float, float], y0, rtol: float, atol: float,
     lo, hi = bounds
     y = list(y0)
     n = len(y)
-    step, interpolant = _kernels(n)
+    step, interpolant = _kernels(n) if kernels is None else kernels
 
     # initial step (Hairer, Norsett & Wanner II.4)
     f = fun(t, y)
@@ -587,6 +674,7 @@ def solve_ivp(fun, t_span: tuple[float, float], y0, rtol: float, atol: float,
     else:
         pending = []
     samples, ts, states = [], [t], [y]
+    u_min = u_max = abs(y[0])
     i_next = 0
     while direction * (t - t_bound) < 0:
         min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
@@ -618,11 +706,16 @@ def solve_ivp(fun, t_span: tuple[float, float], y0, rtol: float, atol: float,
         nfev += 1
 
         coeffs = None
-        if not lo <= abs(y_new[0]) <= hi:
+        u_abs = abs(y_new[0])
+        if not lo <= u_abs <= hi:
             coeffs = interpolant(fun, t, h, y, y_new, f_new, ks)
             nfev += 3
             t_exit = t + _exit_fraction(coeffs, y, lo, hi) * h
             return _RaySolution(np.array(ts), None, nfev, 1, t_fail=t_exit)
+        if u_abs < u_min:
+            u_min = u_abs
+        elif u_abs > u_max:
+            u_max = u_abs
         last = t_new == t_bound
         while i_next < len(pending) and (last or direction * (pending[i_next] - t_new) <= 0):
             if coeffs is None:
@@ -640,7 +733,7 @@ def solve_ivp(fun, t_span: tuple[float, float], y0, rtol: float, atol: float,
     else:
         y_out = np.empty((n, len(pending)), dtype=complex)
         y_out[:, order] = np.array(samples, dtype=complex).reshape(-1, n).T
-    return _RaySolution(np.array(ts), y_out, nfev, 0)
+    return _RaySolution(np.array(ts), y_out, nfev, 0, u_abs_range=(u_min, u_max))
 
 
 def residual_on_grid(tau: np.ndarray, u: np.ndarray, a: complex,

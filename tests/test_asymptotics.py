@@ -390,3 +390,19 @@ def test_cross_ray_sensitivity(generic_point):
 
     assert r1_of(omega) < 1e-12
     assert 1e-4 < r1_of(omega + 1e-3) < 1e-1
+
+
+def test_evaluators_reject_nonpositive_or_nonfinite_magnitudes(generic_point):
+    from dp3.asymptotics import du_imag
+    sc, lc = small_tau_chart(generic_point, 0, P1), large_tau_chart(generic_point, 0, P1)
+    evaluators = [
+        lambda m: u_small(sc, m), lambda m: du_small(sc, m), lambda m: H_small(sc, m),
+        lambda m: tau_function_asymptotic(sc, m), lambda m: u_large(lc, m),
+        lambda m: H_large(lc, m), lambda m: u_imag(generic_point, 1, P1, m, "small"),
+        lambda m: u_imag(generic_point, -1, P1, m, "large"),
+        lambda m: du_imag(generic_point, 1, P1, m),
+    ]
+    for evaluate in evaluators:
+        for m in (0.0, -1.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ConditionViolationError, match="positive and finite"):
+                evaluate(m)

@@ -263,3 +263,38 @@ def test_fit_nonfinite_csv_row_exit2(tmp_path, capsys):
     code, out, err = run_cli(capsys, ["fit", "--csv", str(csv_path), "--eps", "1", "--b", "1"])
     assert code == 2 and out == ""
     assert json.loads(err)["error"] == "validation"
+
+
+def _assert_json_error(err, kind):
+    assert "Traceback" not in err
+    assert json.loads(err)["error"] == kind
+
+
+def test_eval_tau_must_be_finite_and_positive(point_file, capsys):
+    path, _ = point_file
+    base = ["--point", path, "--eps", "1", "--b", "1"]
+    for tau in ("nan", "inf"):
+        code, out, err = run_cli(capsys, ["eval", "u", "--regime", "small", "--tau", tau] + base)
+        assert code == 2 and out == ""
+        _assert_json_error(err, "validation")
+    code, _, err = run_cli(capsys, ["eval", "H", "--regime", "large", "--tau", "0"] + base)
+    assert code == 3
+    _assert_json_error(err, "condition-violation")
+
+
+def test_ladder_tau_must_be_finite_and_nonzero(capsys):
+    base = ["ladder", "--n-max", "2", "--algebraic-seed", "--eps", "1", "--b", "1"]
+    code, out, err = run_cli(capsys, base + ["--tau", "nan"])
+    assert code == 2 and out == ""
+    _assert_json_error(err, "validation")
+    code, _, err = run_cli(capsys, base + ["--tau", "0"])
+    assert code == 3
+    _assert_json_error(err, "condition-violation")
+
+
+def test_lattice_tau_must_be_finite(capsys):
+    for tau in ("nan", "inf"):
+        code, out, err = run_cli(capsys, ["lattice", "--which", "km", "--tau", tau, "--n-max",
+                                          "2", "--algebraic-seed", "--eps", "1", "--b", "1"])
+        assert code == 2 and out == ""
+        _assert_json_error(err, "validation")

@@ -337,3 +337,23 @@ def test_fit_window_below_floor_names_its_start(fit_point):
     with pytest.raises(ConditionViolationError,
                        match=r"starts at \|tau\| = 25 .* must start at \|tau\| >= 30\.45"):
         fit_large_tau(traj, P1)
+
+
+def test_verify_connection_rejects_bad_arguments_before_integrating(fit_point, monkeypatch):
+    import warnings
+
+    from dp3 import connection
+
+    def no_integration(*args, **kw):
+        raise AssertionError("integrate_ray must not run")
+
+    monkeypatch.setattr(connection, "integrate_ray", no_integration)
+    bad = [({"window_factor": w}, "window_factor") for w in (0.0, -1.0, 1.0, math.nan, math.inf)]
+    bad += [({"fit_points": k}, "fit_points") for k in (-1, 0, 4)]
+    bad += [({k: v}, "tau0 and tau1") for k in ("tau0", "tau1")
+            for v in (math.nan, math.inf, -math.inf)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kwargs, name in bad:
+            with pytest.raises(ConditionViolationError, match=name):
+                verify_connection(fit_point, P1, **kwargs)

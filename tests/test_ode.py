@@ -626,3 +626,29 @@ def test_hamiltonian_u_smoothness_along_trajectory():
         partial = -p * p * q * q / tau**2 + 2.0 * eps1h * p * q * k / tau**2 \
             - k * k / (2.0 * tau**2)
         assert abs(total - partial) < 1e-6
+
+
+def test_algebraic_solution_singular_at_zero():
+    with pytest.raises(SingularityError):
+        algebraic_solution(0.0, P1)
+    with pytest.raises(SingularityError):
+        algebraic_solution(0j, P1, with_phi=True)
+
+
+def test_trajectory_records_solver_statistics():
+    seed, a = crit10_seed()
+    steps = integrate_ray(seed, a, P1, 60.0, tol=1e-10)
+    h = np.abs(np.diff(np.abs(steps.tau)))
+    assert (steps.h_min, steps.h_max) == (h.min(), h.max()) and 0 < h.min() < h.max()
+    u_abs = [abs(complex(u)) for u in steps.u]  # numpy's abs can differ by an ulp
+    assert (steps.u_abs_min, steps.u_abs_max) == (min(u_abs), max(u_abs))
+    assert steps.wall_s > 0
+    # the dense samples come from the same steps, so the statistics agree
+    dense = integrate_ray(seed, a, P1, 60.0, tol=1e-10, dense_at=np.linspace(30.0, 60.0, 7))
+    for name in ("nsteps", "h_min", "h_max", "u_abs_min", "u_abs_max"):
+        assert getattr(dense, name) == getattr(steps, name), name
+    # kept out of the CSV dump; hand-built windows carry the defaults
+    assert trajectory_to_csv(steps).splitlines()[0].count(",") == 9
+    window = ode.Trajectory(P1, a, steps.tau, steps.u, steps.du, None, steps.H)
+    assert (window.h_min, window.h_max, window.u_abs_min, window.u_abs_max,
+            window.wall_s) == (0.0, 0.0, 0.0, 0.0, 0.0)
