@@ -11,6 +11,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,12 +56,15 @@ def fit_large_tau(traj: Trajectory, params: EquationParams,
     At fixed nu + 1 the model is linear in its four weights: the two
     oscillatory terms e^{+-(i theta + (nu + 1) ln theta)} and the leading
     power tails theta^{-1/2}, theta^{-3/2} of the algebraic part.  The fit
-    is therefore separable: ``least_squares`` minimises the variable-
-    projection residual over the one complex parameter nu + 1, from an initial
-    guess read off the envelope of the forward oscillatory component, and
-    z follows from the optimal oscillatory weights.  Fewer than 5 samples,
-    non-finite samples and windows that start below theta = 50 raise
-    ``ConditionViolationError``.
+    is therefore separable: one projection onto that basis (QR) gives the
+    optimal weights and the residual at any nu + 1, ``least_squares``
+    minimises the projected residual over the one complex parameter
+    nu + 1, started at 0, and z follows from the optimal oscillatory
+    weights at the minimum.  ``residual_norm`` and ``condition`` are the
+    norm of that residual and the condition number of the basis there.
+    Fewer than 5 samples, non-finite samples, windows that start below
+    theta = 50 and windows with fewer than 4 distinct |tau| (a singular
+    basis) raise ``ConditionViolationError``.
     """
     m = np.abs(traj.tau)
     if len(m) <= 4:
@@ -81,92 +85,63 @@ def fit_large_tau(traj: Trajectory, params: EquationParams,
     if amp < 1e-9:
         return LargeTauFit(0.0j, 0.0j, float(np.linalg.norm(osc)), 1.0, amp, True)
 
-    def weights_for(nu1: complex):
-        # two oscillatory columns plus the leading smooth corrections of
-        # the algebraic part, so that non-oscillatory power tails are not
-        # forced into the exponentials
-        basis = np.column_stack([
-            np.exp(1j * theta + nu1 * np.log(theta)),
-            np.exp(-1j * theta - nu1 * np.log(theta)),
-            theta ** -0.5,
-            theta ** -1.5,
-        ])
-        sol, *_ = np.linalg.lstsq(basis, osc, rcond=None)
-        resid = basis @ sol - osc
-        return sol, resid, basis
-
-    # initial nu + 1: slope of the forward-component envelope in ln theta.
-    # Project out each exponential locally over half-overlapping windows.
-    nwin = max(4, len(m) // 24)
-    centers, fw = [], []
-    idx = np.array_split(np.arange(len(m)), nwin)
-    for block in idx:
-        if len(block) < 6:
-            continue
-        th = theta[block]
-        basis = np.column_stack([np.exp(1j * th), np.exp(-1j * th)])
-        sol, *_ = np.linalg.lstsq(basis, osc[block], rcond=None)
-        if abs(sol[0]) > 0:
-            centers.append(math.log(float(np.mean(th))))
-            fw.append(cmath.log(sol[0]))
-    if len(centers) >= 2:
-        centers = np.asarray(centers)
-        vals = np.asarray(fw)
-        re = np.polyfit(centers, vals.real, 1)
-        im_d = np.unwrap(vals.imag)
-        im = np.polyfit(centers, im_d, 1)
-        nu0 = complex(re[0], im[0])
-    else:
-        nu0 = 0.0j
-    if abs(nu0) > 0.5:
-        nu0 = 0.0j
-
-    # variable projection: the nu-independent parts of the basis, hoisted
+    # variable projection: at fixed nu + 1, the two oscillatory columns plus
+    # the leading smooth corrections of the algebraic part (so that
+    # non-oscillatory power tails are not forced into the exponentials);
+    # the nu-independent parts of the basis are hoisted
     log_theta = np.log(theta)
     e_i_theta = np.exp(1j * theta)
-    vp_basis = np.empty((len(theta), 4), dtype=complex)
-    vp_basis[:, 2] = theta ** -0.5
-    vp_basis[:, 3] = theta ** -1.5
+    basis = np.empty((len(theta), 4), dtype=complex)
+    basis[:, 2] = theta ** -0.5
+    basis[:, 3] = theta ** -1.5
     rcond = len(theta) * np.finfo(float).eps
 
-    def residual_and_derivative(nu1):
+    def project(nu1):
         e_plus = e_i_theta * np.exp(nu1 * log_theta)
         e_minus = 1.0 / e_plus
-        vp_basis[:, 0] = e_plus
-        vp_basis[:, 1] = e_minus
-        q, r = np.linalg.qr(vp_basis)
+        basis[:, 0] = e_plus
+        basis[:, 1] = e_minus
+        q, r = np.linalg.qr(basis)
         diag = np.abs(np.diagonal(r))
         if not diag.min() > rcond * diag.max():  # singular R (or NaN): reject
-            return None, None
+            return None
         w = np.linalg.solve(r, q.conj().T @ osc)
-        resid = vp_basis @ w - osc
+        return w, basis @ w - osc, q, r, e_plus, e_minus
+
+    def residual_and_derivative(nu1):
+        p = project(nu1)
+        if p is None:
+            return None, None
+        w, resid, q, _, e_plus, e_minus = p
         # Kaufman's Jacobian of the projected residual: d/d(nu + 1) of the
         # basis, applied to the weights and projected onto range(B)^perp
         d = log_theta * (e_plus * w[0] - e_minus * w[1])
         d -= q @ (q.conj().T @ d)
         return resid, d
 
-    fit = least_squares(residual_and_derivative, nu0)
-    nu1 = fit.x
-    sol, resid, basis = weights_for(nu1)
-    cond = float(np.linalg.cond(basis))
-    osc_part = np.abs(np.exp(nu1 * np.log(theta)) * sol[0]) \
-        + np.abs(np.exp(-nu1 * np.log(theta)) * sol[1])
-    osc_amp = float(np.max(osc_part))
+    nu1 = least_squares(residual_and_derivative, 0.0j).x
+    p = project(nu1)
+    if p is None:
+        raise ConditionViolationError(
+            "the fit basis is singular: the window needs at least 4 distinct |tau|")
+    sol, resid, _, r, e_plus, e_minus = p
+    res_norm = float(np.linalg.norm(resid))
+    cond = float(np.linalg.cond(r))  # = cond(basis), as Q is unitary
+    osc_amp = float(np.max(np.abs(e_plus * sol[0]) + np.abs(e_minus * sol[1])))
     if osc_amp < 1e-8 * (1.0 + amp):
         # power tail only: degenerate-chart candidate
-        return LargeTauFit(0.0j, 0.0j, float(np.linalg.norm(resid)), cond, osc_amp, True)
+        return LargeTauFit(0.0j, 0.0j, res_norm, cond, osc_amp, True)
     # weights: w+- = sqrt(nu+1) e^{3 i pi / 4} e^{+-z} / 2
     pref = cmath.sqrt(nu1) * cmath.exp(0.75j * math.pi) / 2.0
     if pref == 0 or sol[0] == 0 or sol[1] == 0:
-        return LargeTauFit(nu1, 0.0j, float(np.linalg.norm(resid)), cond, osc_amp, True)
+        return LargeTauFit(nu1, 0.0j, res_norm, cond, osc_amp, True)
     z_plus = cmath.log(sol[0] / pref)
     z_minus = -cmath.log(sol[1] / pref)
     # the two estimates agree modulo 2 pi i; average on the cylinder
     dz = math.remainder((z_minus - z_plus).imag, _TWO_PI)
     z = _wrap_mod_2pi_i(complex(0.5 * (z_plus.real + z_minus.real),
                                 z_plus.imag + 0.5 * dz))
-    return LargeTauFit(nu1, z, float(np.linalg.norm(resid)), cond, osc_amp, False)
+    return LargeTauFit(nu1, z, res_norm, cond, osc_amp, False)
 
 
 _LM_TOL = 1e-14  # xtol and ftol, in MINPACK's sense
@@ -295,15 +270,17 @@ def verify_connection(pt: MonodromyPoint, params: EquationParams,
     Every fit window lies above the theta > 50 floor, so a smallest rung
     ``tau1 / 2**(tau1_steps - 1)`` below it raises
     ``ConditionViolationError`` before anything is integrated, as do a
-    non-finite ``tau0`` or ``tau1``, ``fit_points`` below 5 and a
-    ``window_factor`` that is not a finite number above 1.
+    non-finite ``tau0`` or ``tau1``, a largest seed |tau| above the
+    smallest window start, ``tau0_steps`` or ``tau1_steps`` that is not
+    an integer of at least 1, ``fit_points`` that is not an integer of at
+    least 5 and a ``window_factor`` that is not a finite number above 1.
     """
-    if tau0_steps < 1 or tau1_steps < 1:
-        raise ConditionViolationError("tau0_steps and tau1_steps must be at least 1")
+    for name, count, least in (("tau0_steps", tau0_steps, 1), ("tau1_steps", tau1_steps, 1),
+                               ("fit_points", fit_points, 5)):
+        if not (isinstance(count, numbers.Integral) and count >= least):
+            raise ConditionViolationError(f"{name} must be an integer of at least {least}")
     if not (math.isfinite(tau0) and math.isfinite(tau1)):
         raise ConditionViolationError("tau0 and tau1 must be finite")
-    if fit_points < 5:
-        raise ConditionViolationError("fit_points must be at least 5")
     if not 1.0 < window_factor < math.inf:
         raise ConditionViolationError("window_factor must be a finite number above 1")
     floor = _theta_floor(params)
@@ -313,10 +290,6 @@ def verify_connection(pt: MonodromyPoint, params: EquationParams,
             f"the smallest fit window ends at tau1 / 2**(tau1_steps - 1) = {tau1 / halvings:.4g}, "
             f"below the theta > 50 floor |tau| = {floor:.4g}; with tau1_steps = {tau1_steps} "
             f"the smallest admissible tau1 is {floor * halvings:.1f}")
-    sc = None if seed_state is not None else small_tau_chart(pt, eps1, params)
-    lc = large_tau_chart(pt, eps1, params)
-    phase = cmath.exp(1j * math.pi * eps1)
-
     tau1_list = [tau1 / (2.0**k) for k in range(tau1_steps - 1, -1, -1)]
     tau0_list = [tau0 * (2.0**k) for k in range(tau0_steps - 1, -1, -1)]
 
@@ -324,6 +297,14 @@ def verify_connection(pt: MonodromyPoint, params: EquationParams,
     for t1 in tau1_list:
         win_lo = max(t1 / window_factor, floor)
         grids.append(np.linspace(win_lo, t1, fit_points))
+    seed_max = abs(seed_state.tau) if seed_state is not None else tau0_list[0]
+    if seed_max > grids[0][0]:
+        raise ConditionViolationError(
+            f"the largest seed |tau| = {seed_max:.4g} lies above the smallest fit window "
+            f"start |tau| = {grids[0][0]:.4g}; lower tau0 or raise tau1")
+    sc = None if seed_state is not None else small_tau_chart(pt, eps1, params)
+    lc = large_tau_chart(pt, eps1, params)
+    phase = cmath.exp(1j * math.pi * eps1)
 
     table = []
     final = None

@@ -270,6 +270,22 @@ def _assert_json_error(err, kind):
     assert json.loads(err)["error"] == kind
 
 
+def test_fit_singular_window_exit3(tmp_path, capsys, point_file):
+    from dp3.asymptotics import large_tau_chart, u_large
+    from dp3.ode import Trajectory, trajectory_to_csv
+
+    _, pt = point_file
+    params = EquationParams.make(1, 1.0)
+    tau = np.full(6, 100.0 + 0j)
+    u = np.full(6, u_large(large_tau_chart(pt, 0, params), 100.0))
+    zeros = np.zeros_like(u)
+    csv_path = tmp_path / "traj.csv"
+    csv_path.write_text(trajectory_to_csv(Trajectory(params, 0.0, tau, u, zeros, None, zeros)))
+    code, out, err = run_cli(capsys, ["fit", "--csv", str(csv_path), "--eps", "1", "--b", "1"])
+    assert code == 3 and out == ""
+    _assert_json_error(err, "condition-violation")
+
+
 def test_eval_tau_must_be_finite_and_positive(point_file, capsys):
     path, _ = point_file
     base = ["--point", path, "--eps", "1", "--b", "1"]

@@ -32,12 +32,36 @@ def fit_point():
 
 
 def test_fit_round_trip(fit_point):
-    ch = large_tau_chart(fit_point, 0, P1)
+    # the fit starts at nu + 1 = 0; the sampled points reach |nu + 1| ~ 0.28
+    from dp3.connection import _z_distance
+    from dp3.sampling import sample_manifold
+
+    charts = [large_tau_chart(fit_point, 0, P1)]
+    for pt in sample_manifold(seed=5, count=256, branch=1, nu_max=0.4):
+        try:
+            ch = large_tau_chart(pt, 0, P1)
+        except ConditionViolationError:  # outside the valid strip
+            continue
+        if ch.special == "none":
+            charts.append(ch)
+    assert len(charts) > 200 and max(abs(ch.nu_plus_1) for ch in charts) > 0.25
     grid = np.linspace(100.0, 400.0, 300)
-    fit = fit_large_tau(synthetic_trajectory(ch, grid), P1)
-    assert not fit.special
-    assert abs(fit.nu_plus_1 - ch.nu_plus_1) < 1e-8
-    assert abs(fit.z - ch.z) < 1e-8
+    theta = 3.0 * math.sqrt(3.0) * P1.abs_coupling ** (1.0 / 3.0) * grid ** (2.0 / 3.0)
+    for ch in charts:
+        fit = fit_large_tau(synthetic_trajectory(ch, grid), P1)
+        assert not fit.special
+        assert abs(fit.nu_plus_1 - ch.nu_plus_1) < 1e-8
+        assert _z_distance(fit.z, ch.z) < 1e-8
+        osc = np.exp(1j * theta + fit.nu_plus_1 * np.log(theta))
+        basis = np.column_stack([osc, 1.0 / osc, theta ** -0.5, theta ** -1.5])
+        assert fit.condition == pytest.approx(np.linalg.cond(basis), rel=1e-6)
+
+
+def test_fit_singular_window_raises(fit_point):
+    # six samples at one |tau|: the 4-column basis has rank 1
+    ch = large_tau_chart(fit_point, 0, P1)
+    with pytest.raises(ConditionViolationError, match="at least 4 distinct"):
+        fit_large_tau(synthetic_trajectory(ch, np.full(6, 100.0)), P1)
 
 
 def test_fit_flags_algebraic_as_special():
@@ -349,7 +373,9 @@ def test_verify_connection_rejects_bad_arguments_before_integrating(fit_point, m
 
     monkeypatch.setattr(connection, "integrate_ray", no_integration)
     bad = [({"window_factor": w}, "window_factor") for w in (0.0, -1.0, 1.0, math.nan, math.inf)]
-    bad += [({"fit_points": k}, "fit_points") for k in (-1, 0, 4)]
+    bad += [({"fit_points": k}, "fit_points") for k in (-1, 0, 4, 5.5)]
+    bad += [({"tau0_steps": 1.5}, "tau0_steps")]
+    bad += [({"tau0": 500.0, "tau1": 400.0}, "tau0 or raise tau1")]
     bad += [({k: v}, "tau0 and tau1") for k in ("tau0", "tau1")
             for v in (math.nan, math.inf, -math.inf)]
     with warnings.catch_warnings():
