@@ -76,15 +76,27 @@ def ladder(seed: SolutionState, a0: complex, params: EquationParams, n_max: int,
 
     When ``seed_eval`` is given (a closed-form or numeric evaluator of the
     seed solution on its ray) the seed is residual-checked against the
-    equation before climbing.
+    equation before climbing.  ``tau = 0`` raises ``SingularityError``; a
+    rung that overflows or is not finite (for example at a huge or tiny
+    |tau|) raises ``LadderBreakdownError``.
     """
-    if check_seed and seed_eval is not None:
-        res = _seed_residual(seed_eval, seed.tau, a0, params)
+    tau = seed.tau
+    if tau == 0:
+        raise SingularityError("tau = 0 is a singular point of the equation")
+    try:
+        return _climb(seed, a0, params, n_max, seed_eval if check_seed else None, seed_tol)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise LadderBreakdownError(f"the ladder overflows at tau = {tau}: {exc}") from None
+
+
+def _climb(seed, a0, params, n_max, seed_eval, seed_tol) -> list[LadderEntry]:
+    tau = seed.tau
+    if seed_eval is not None:
+        res = _seed_residual(seed_eval, tau, a0, params)
         if res > seed_tol:
             raise ConditionViolationError(
                 f"seed residual {res:.3e} exceeds {seed_tol:.1e}; "
                 "the seed does not solve the equation at a = a0")
-    tau = seed.tau
     states = [seed]
     state, a = seed, a0
     for n in range(n_max):
@@ -99,6 +111,8 @@ def ladder(seed: SolutionState, a0: complex, params: EquationParams, n_max: int,
         if n + 1 < len(states):
             g = states[n + 1].u / tau * v
             f = 2.0 * tau * tau / (1j * params.eps * params.b) * g
+        if not all(cmath.isfinite(x) for x in (st.u, st.du, v, g or 0, f or 0)):
+            raise LadderBreakdownError(f"rung {n} is not finite at tau = {tau}", n=n)
         entries.append(LadderEntry(n=n, a_n=a0 - 1j * n, state=st, v=v, g=g, f=f))
     return entries
 
@@ -138,7 +152,18 @@ def lattice_residuals(entries: list[LadderEntry], which: str, a0: complex,
                = i eps b tau^2.
     ``toda``:  Toda-chain form on T_n = g_n g_{n+1} (see inline comment);
                second derivatives by finite differences over re-evaluated
-               ladders at tau +- h, so this needs ``seed_eval``."""
+               ladders at tau +- h, so this needs ``seed_eval``.
+
+    Raises ``ConditionViolationError`` when a residual is not finite (for
+    example at a tiny |tau|)."""
+    out = _lattice_residuals(entries, which, a0, params, seed_eval, h_rel)
+    if not all(math.isfinite(r) for _, r in out):
+        raise ConditionViolationError(
+            f"{which} residuals are not finite at tau = {entries[0].state.tau}")
+    return out
+
+
+def _lattice_residuals(entries, which, a0, params, seed_eval, h_rel):
     tau = entries[0].state.tau
     ieb = 1j * params.eps * params.b
     by_n = {e.n: e for e in entries}

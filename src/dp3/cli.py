@@ -4,6 +4,9 @@ Every command is a thin adapter over the library: identical numbers to
 direct calls.  Exit codes: 0 success, 2 validation problems, 3
 mathematical condition violations, 4 integration failures.  Errors are
 emitted as one JSON object on stderr.  Set DP3_LOG=debug for tracebacks.
+
+Each command imports only the submodules it runs: ``monodromy map``,
+``chart`` and ``eval`` never load numpy or the integrator.
 """
 
 from __future__ import annotations
@@ -15,10 +18,8 @@ import math
 import os
 import sys
 import traceback
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import asymptotics, backlund, connection, monodromy, ode, sampling
 from .errors import (
     ConditionViolationError,
     IntegrationFailureError,
@@ -29,6 +30,10 @@ from .errors import (
 )
 from .params import EquationParams
 
+if TYPE_CHECKING:
+    from .monodromy import MonodromyPoint
+    from .ode import SolutionState
+
 _MATH_ERRORS = (ConditionViolationError, PoleError, SingularityError,
                 LadderBreakdownError, SamplingExhaustedError)
 
@@ -37,7 +42,9 @@ def _cpx(v: complex) -> list[float]:
     return [v.real, v.imag]
 
 
-def _load_point(source: str) -> monodromy.MonodromyPoint:
+def _load_point(source: str) -> MonodromyPoint:
+    from . import monodromy
+
     if source.strip().startswith("{"):
         text = source
     else:
@@ -89,6 +96,8 @@ def _check_finite(name: str, value: float) -> None:
 
 
 def _check_tol(tol: float) -> float:
+    from . import ode
+
     lo, hi = ode._TOL_RANGE
     if not (lo <= tol <= hi):
         raise _ValidationError(f"tolerance must lie in [{lo}, {hi}]")
@@ -98,6 +107,8 @@ def _check_tol(tol: float) -> float:
 # ---------------------------------------------------------------- commands
 
 def _cmd_monodromy_check(args) -> int:
+    from . import monodromy
+
     pt = _load_point(args.point)
     res = monodromy.manifold_residual(pt)
     cyc, semi = monodromy.cyclic_residuals(pt)
@@ -107,6 +118,8 @@ def _cmd_monodromy_check(args) -> int:
 
 
 def _cmd_monodromy_map(args) -> int:
+    from . import monodromy
+
     pt = _load_point(args.point)
     if args.map == "F":
         out = monodromy.apply_F(pt, args.eps1, args.eps2)
@@ -121,18 +134,23 @@ def _cmd_monodromy_map(args) -> int:
 
 
 def _cmd_monodromy_sample(args) -> int:
-    if args.count < 0:
-        raise _ValidationError("--count must be non-negative")
-    pts = sampling.sample_manifold(
-        seed=args.seed, count=args.count, branch=args.branch,
-        abs_a_max=args.abs_a_max, nu_max=args.nu_max,
-        re_rho_max=args.re_rho_max, max_entry=args.max_entry)
+    from . import monodromy, sampling
+
+    try:
+        pts = sampling.sample_manifold(
+            seed=args.seed, count=args.count, branch=args.branch,
+            abs_a_max=args.abs_a_max, nu_max=args.nu_max,
+            re_rho_max=args.re_rho_max, max_entry=args.max_entry)
+    except ConditionViolationError as exc:  # raised only for its arguments
+        raise _ValidationError(str(exc)) from exc
     payload = [json.loads(monodromy.point_to_json(p)) for p in pts]
     _emit(payload, args)
     return 0
 
 
 def _cmd_chart(args) -> int:
+    from . import asymptotics
+
     pt = _load_point(args.point)
     params = _params_from(args)
     if args.kind == "large":
@@ -154,6 +172,8 @@ def _cmd_chart(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    from . import asymptotics
+
     _check_finite("--tau", args.tau)
     pt = _load_point(args.point)
     params = _params_from(args)
@@ -173,7 +193,11 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _seed_state(args, params) -> tuple[ode.SolutionState, complex]:
+def _seed_state(args, params) -> tuple[SolutionState, complex]:
+    import numpy as np
+
+    from . import asymptotics, ode
+
     if args.point is not None:
         pt = _load_point(args.point)
         sc = asymptotics.small_tau_chart(pt, args.eps1, params)
@@ -191,8 +215,14 @@ def _seed_state(args, params) -> tuple[ode.SolutionState, complex]:
 
 
 def _cmd_integrate(args) -> int:
+    import numpy as np
+
+    from . import ode
+
     _check_finite("--tau0", args.tau0)
     _check_finite("--tau-end", args.tau_end)
+    if args.samples < 0:
+        raise _ValidationError("--samples must be non-negative")
     params = _params_from(args)
     state, a = _seed_state(args, params)
     dense = None
@@ -210,6 +240,8 @@ def _cmd_integrate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import connection
+
     if args.tau0_steps < 1 or args.tau1_steps < 1:
         raise _ValidationError("--tau0-steps and --tau1-steps must be at least 1")
     _check_finite("--tau0", args.tau0)
@@ -230,7 +262,11 @@ def _cmd_verify(args) -> int:
 
 
 def _ladder_entries(args, params):
+    from . import backlund, ode
+
     _check_finite("--tau", args.tau)
+    if args.n_max < 0:
+        raise _ValidationError("--n-max must be non-negative")
     a0 = _parse_complex(args.a0) if args.a0 else 0.0
     if args.algebraic_seed:
         if a0 != 0:
@@ -261,6 +297,8 @@ def _cmd_ladder(args) -> int:
 
 
 def _cmd_lattice(args) -> int:
+    from . import backlund
+
     params = _params_from(args)
     entries, a0, seed_eval = _ladder_entries(args, params)
     res = backlund.lattice_residuals(entries, args.which, a0, params, seed_eval=seed_eval)
@@ -269,6 +307,10 @@ def _cmd_lattice(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    import numpy as np
+
+    from . import connection, ode
+
     params = _params_from(args)
     data = np.genfromtxt(args.csv, delimiter=",", names=True)
     try:

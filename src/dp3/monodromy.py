@@ -24,10 +24,12 @@ from __future__ import annotations
 import cmath
 import json
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ConditionViolationError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "MonodromyPoint",
@@ -45,23 +47,50 @@ __all__ = [
     "point_from_json",
 ]
 
-SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-IDENTITY2 = np.eye(2, dtype=complex)
+# numpy is imported inside the functions that build arrays, and these
+# constant matrices are built on first access, so that the group actions
+# and the charts run without it.
+_CONSTANTS = {
+    "SIGMA1": ((0.0, 1.0), (1.0, 0.0)),
+    "SIGMA3": ((1.0, 0.0), (0.0, -1.0)),
+    "IDENTITY2": ((1.0, 0.0), (0.0, 1.0)),
+}
 
 _JSON_KEYS = ("a", "s00", "s0inf", "s1inf", "g11", "g12", "g21", "g22")
 
 
+def _constant(name: str) -> np.ndarray:
+    """``SIGMA1``, ``SIGMA3`` or ``IDENTITY2`` as a complex 2x2 array, built once."""
+    value = globals().get(name)
+    if value is None:
+        import numpy as np
+
+        value = globals()[name] = np.array(_CONSTANTS[name], dtype=complex)
+    return value
+
+
+def __getattr__(name: str):
+    if name in _CONSTANTS:
+        return _constant(name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def _exp_sigma3(alpha: complex) -> np.ndarray:
     """diag(e^alpha, e^-alpha)."""
+    import numpy as np
+
     return np.array([[cmath.exp(alpha), 0.0], [0.0, cmath.exp(-alpha)]], dtype=complex)
 
 
 def _lower(s: complex) -> np.ndarray:
+    import numpy as np
+
     return np.array([[1.0, 0.0], [s, 1.0]], dtype=complex)
 
 
 def _upper(s: complex) -> np.ndarray:
+    import numpy as np
+
     return np.array([[1.0, s], [0.0, 1.0]], dtype=complex)
 
 
@@ -81,6 +110,8 @@ class MonodromyPoint:
     @property
     def G(self) -> np.ndarray:
         """Connection matrix as a 2x2 array."""
+        import numpy as np
+
         return np.array([[self.g11, self.g12], [self.g21, self.g22]], dtype=complex)
 
 
@@ -98,6 +129,8 @@ def manifold_residual(pt: MonodromyPoint) -> np.ndarray:
     """Absolute residuals of the five defining relations, in order:
     the multiplier product relation, the mixed G relation, the two
     quadratic G relations, and ``det G - 1``."""
+    import numpy as np
+
     a, s00, s0, s1 = pt.a, pt.s00, pt.s0inf, pt.s1inf
     g11, g12, g21, g22 = pt.g11, pt.g12, pt.g21, pt.g22
     epa = cmath.exp(cmath.pi * a)
@@ -118,8 +151,21 @@ def from_branch(branch: int, a: complex, **free) -> MonodromyPoint:
     branch 1: free = g11, g12, g21, g22 (unit determinant, g11*g22 != 0)
     branch 2: free = s00, g22 (g11 = 0)
     branch 3: free = s00, g11 (g22 = 0)
+
+    Raises ``ConditionViolationError`` when a coordinate of the point is
+    not a finite float, e.g. when ``e^{pi a}`` overflows.
     """
-    a = complex(a)
+    try:
+        values = _branch_coordinates(branch, complex(a), free)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise ConditionViolationError(
+            f"branch {branch} point overflows at a = {a}: {exc}") from None
+    if not all(cmath.isfinite(v) for v in values):
+        raise ConditionViolationError(f"branch {branch} point is not finite at a = {a}")
+    return MonodromyPoint(*values)
+
+
+def _branch_coordinates(branch: int, a: complex, free: dict) -> tuple:
     epa = cmath.exp(cmath.pi * a)
     ema = 1.0 / epa
     if branch == 1:
@@ -154,7 +200,7 @@ def from_branch(branch: int, a: complex, **free) -> MonodromyPoint:
         s0 = -1j * g11 * g11 * (1.0 + epa * epa + 1j * s00 * epa) * epa
     else:
         raise ConditionViolationError(f"unknown branch {branch!r}")
-    return MonodromyPoint(a, s00, s0, s1, g11, g12, g21, g22)
+    return a, s00, s0, s1, g11, g12, g21, g22
 
 
 def rho_from(pt: MonodromyPoint) -> complex:
@@ -206,14 +252,16 @@ def cyclic_residuals(pt: MonodromyPoint) -> tuple[float, float]:
     """Entrywise max-norm residuals of the cyclic relation
     ``G M_inf = M_0 G`` and of the semi-cyclic relation
     ``G^-1 S0_0 sigma1 G = S_inf_0 S_inf_1 sigma3 e^{-pi(a - i/2) sigma3}``."""
+    import numpy as np
+
     ss = stokes_structure(pt)
     G = pt.G
     cyc = np.max(np.abs(G @ ss.m_inf - ss.m_zero @ G))
-    lhs = np.linalg.solve(G, _stokes_zero(pt, 0) @ SIGMA1 @ G)
+    lhs = np.linalg.solve(G, _stokes_zero(pt, 0) @ _constant("SIGMA1") @ G)
     rhs = (
         _stokes_inf(pt, 0)
         @ _stokes_inf(pt, 1)
-        @ SIGMA3
+        @ _constant("SIGMA3")
         @ _exp_sigma3(-cmath.pi * (pt.a - 0.5j))
     )
     semi = np.max(np.abs(lhs - rhs))

@@ -452,6 +452,7 @@ _D_NONZERO = (
 
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_EXPONENT = -1.0 / 8.0  # error estimator of order 7
+_MAX_STEPS = 100_000  # accepted steps per call, Hairer's NMAX; a ray to |tau| = 400 takes ~1000
 
 _KERNELS: dict[int, tuple] = {}  # n -> (step, interpolant)
 _FUSED: dict[int, object] = {}  # n -> bind(phase, c_u2, c_ab, b2, a2, b)
@@ -623,8 +624,9 @@ def solve_ivp(fun, t_span: tuple[float, float], y0, rtol: float, atol: float,
     the step-size rule (safety 0.9, factor in [0.2, 10], exponent -1/8) and
     the initial step are those of scipy's DOP853, so the accepted steps
     agree with ``scipy.integrate.solve_ivp(..., method="DOP853")``.  A step
-    below 10 ulp of t stalls the integration and a non-finite error
-    estimate stops it (status -1).  The interpolant's three extra stages are
+    below 10 ulp of t stalls the integration, and a non-finite error
+    estimate or more than ``_MAX_STEPS`` accepted steps stops it
+    (status -1).  The interpolant's three extra stages are
     computed only on steps that contain a point of ``dense_at``.  The
     integration stops with status 1 when ``|y[0]|`` leaves ``bounds``, with
     the exit located inside the step; otherwise ``u_abs_range`` holds the
@@ -676,7 +678,11 @@ def solve_ivp(fun, t_span: tuple[float, float], y0, rtol: float, atol: float,
     samples, ts, states = [], [t], [y]
     u_min = u_max = abs(y[0])
     i_next = 0
+    max_steps = _MAX_STEPS
     while direction * (t - t_bound) < 0:
+        if len(ts) > max_steps:
+            return _RaySolution(np.array(ts), None, nfev, -1,
+                                f"step budget of {max_steps} accepted steps exhausted", t)
         min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
         h_abs = max(h_abs, min_step)
         rejected = False

@@ -26,6 +26,8 @@ class EquationParams:
             raise ConditionViolationError("eps must be +1 or -1")
         if not math.isfinite(self.b):
             raise ConditionViolationError("b must be finite")
+        if not math.isfinite(self.b * self.b):
+            raise ConditionViolationError("|b| is too large: b**2 overflows")
         if self.b == 0.0:
             raise ConditionViolationError("b must be nonzero")
         coupling = self.eps * self.b

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
+import sys
 
 import numpy as np
 
@@ -12,6 +14,8 @@ from .errors import ConditionViolationError, SamplingExhaustedError
 from .monodromy import MonodromyPoint, from_branch, rho_from
 
 __all__ = ["sample_manifold"]
+
+_MAX_HALF_WIDTH = 0.5 * sys.float_info.max  # of a uniform draw on [-w, w]
 
 
 def _uniform_complex(rng, lo=-1.2, hi=1.2) -> complex:
@@ -29,11 +33,29 @@ def sample_manifold(seed: int, count: int, branch: int,
     """Draw ``count`` points on the chosen branch, free parameters uniform
     in boxes, rejection-filtered by bounds on |a|, |nu + 1| and |Re rho|
     (and optionally on the largest coordinate magnitude, which keeps
-    residual evaluation well conditioned).  Reproducible per seed."""
+    residual evaluation well conditioned).  Reproducible per seed.
+
+    Raises ``ConditionViolationError`` before drawing unless ``seed`` and
+    ``count`` are non-negative integers, ``max_attempts_per_point`` is a
+    positive integer, ``abs_a_max``, ``im_a_max`` and ``box`` lie in
+    [0, 0.5 * float max] (a zero ``abs_a_max`` draws a = 0, a zero
+    ``im_a_max`` a real ``a``), ``box`` is positive, and each optional bound
+    is ``None`` or finite and positive."""
     if branch not in (1, 2, 3):
         raise ConditionViolationError("branch must be 1, 2 or 3")
-    if count < 0:
-        raise ConditionViolationError("count must be non-negative")
+    for name, value, low in (("seed", seed, 0), ("count", count, 0),
+                             ("max_attempts_per_point", max_attempts_per_point, 1)):
+        if not (isinstance(value, numbers.Integral) and value >= low):
+            raise ConditionViolationError(
+                f"{name} must be a {'positive' if low else 'non-negative'} integer")
+    for name, value in (("abs_a_max", abs_a_max), ("im_a_max", im_a_max), ("box", box)):
+        if not (isinstance(value, numbers.Real) and 0 <= value <= _MAX_HALF_WIDTH):
+            raise ConditionViolationError(f"{name} must lie in [0, {_MAX_HALF_WIDTH:.4g}]")
+    abs_a_max, im_a_max = abs(abs_a_max), abs(im_a_max)  # -0.0 -> 0.0
+    for name, value in (("box", box), ("nu_max", nu_max), ("re_rho_max", re_rho_max),
+                        ("max_entry", max_entry)):
+        if value is not None and not (isinstance(value, numbers.Real) and 0 < value < math.inf):
+            raise ConditionViolationError(f"{name} must be finite and positive")
     rng = np.random.default_rng(seed)
     out: list[MonodromyPoint] = []
     budget = max_attempts_per_point * max(count, 1)

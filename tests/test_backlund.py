@@ -9,7 +9,7 @@ import pytest
 
 from conftest import cauchy_derivative
 from dp3.backlund import backlund_step, ladder, lattice_residuals, lie_point_solution
-from dp3.errors import ConditionViolationError, SingularityError
+from dp3.errors import ConditionViolationError, LadderBreakdownError, SingularityError
 from dp3.ode import SolutionState, algebraic_solution, dp3_rhs
 from dp3.params import EquationParams
 
@@ -206,3 +206,18 @@ def test_rotate_tau_image_solves_equation(p, l, relabel):
 
     assert abs(stn.u - eval_new(stn.tau).u) < 1e-15
     assert check_equation_residual(stn, an, pn, eval_new) < 1e-10
+
+
+def test_ladder_and_lattice_raise_typed_errors_out_of_range():
+    seed_eval = algebraic_eval(P1)
+    with pytest.raises(SingularityError):
+        ladder(SolutionState(0.0, 1.0, 0.0), 0.0, P1, 2)
+    for tau in (1e300, 1e-159):  # the rungs, or the seed check's h**2, overflow
+        with pytest.raises(LadderBreakdownError):
+            ladder(seed_eval(tau), 0.0, P1, 3, seed_eval=seed_eval)
+    entries = ladder(seed_eval(1e-100), 0.0, P1, 7, check_seed=False)
+    for which in ("dp", "toda"):  # NaN residuals before
+        with pytest.raises(ConditionViolationError, match="not finite"):
+            lattice_residuals(entries, which, 0.0, P1, seed_eval=seed_eval)
+    with pytest.raises(ConditionViolationError, match="b\\*\\*2 overflows"):
+        EquationParams.make(1, 1e300)

@@ -168,6 +168,60 @@ def test_sampling_rejects_negative_count():
         sample_manifold(seed=1, count=-1, branch=1)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"seed": -1}, {"seed": 1.5}, {"count": 2.5}, {"abs_a_max": float("nan")},
+    {"abs_a_max": -1.0}, {"im_a_max": float("inf")}, {"box": 0.0}, {"nu_max": float("nan")},
+    {"re_rho_max": -0.1}, {"max_entry": float("inf")}, {"max_attempts_per_point": 0},
+])
+def test_sampling_rejects_bad_arguments_before_drawing(kwargs):
+    from dp3.errors import ConditionViolationError
+    with pytest.raises(ConditionViolationError):
+        sample_manifold(**{"seed": 1, "count": 2, "branch": 1, **kwargs})
+
+
+def test_sampling_draws_unchanged():
+    # pinned draws: the benchmark's inputs come from these
+    expected = {
+        1: (-0.4315976725024171 + 0.28223969345166755j,
+            -1.1964237995787932 + 1.1363046594393904j),
+        2: (-0.04189740371833195 - 0.6464960621895507j,
+            -0.18940041376897762 + 0.13320457235571465j),
+        3: (-0.1387439591716444 + 0.16491728573246744j,
+            -0.20822114868756592 + 2.4504814134737116j),
+    }
+    for branch, (a, g12) in expected.items():
+        pt = sample_manifold(seed=3, count=2, branch=branch, max_entry=50.0)[1]
+        assert (pt.a, pt.g12) == (a, g12)
+    # a zero bound on a draws a = 0
+    assert all(pt.a == 0 for pt in sample_manifold(seed=4, count=3, branch=1, abs_a_max=0.0))
+
+
+@pytest.mark.parametrize("argv", [
+    ["monodromy", "sample", "--seed", "-1", "--count", "2", "--branch", "1"],
+    ["monodromy", "sample", "--seed", "1", "--count", "2", "--branch", "1", "--abs-a-max", "nan"],
+    ["monodromy", "sample", "--seed", "1", "--count", "2", "--branch", "1", "--abs-a-max", "-1"],
+    ["monodromy", "sample", "--seed", "1", "--count", "2", "--branch", "1", "--nu-max", "nan"],
+    ["integrate", "--u0", "1", "--du0", "0", "--tau0", "1", "--tau-end", "2",
+     "--samples", "-5", "--eps", "1", "--b", "1"],
+])
+def test_bad_sampling_and_sample_count_exit2(argv, capsys):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "validation"
+
+
+def test_verify_step_budget_exit4(point_file, capsys, monkeypatch):
+    from dp3 import ode
+    path, _ = point_file
+    monkeypatch.setattr(ode, "_MAX_STEPS", 50)
+    code, out, err = run_cli(capsys, [
+        "verify-connection", "--point", path, "--tau1-steps", "1", "--eps", "1", "--b", "1"])
+    assert code == 4 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "integration-failure"
+    assert "step budget of 50 accepted steps exhausted near |tau| = " in payload["message"]
+
+
 def test_sample_count_zero(capsys):
     code, out, _ = run_cli(capsys, [
         "monodromy", "sample", "--seed", "1", "--count", "0", "--branch", "1"])

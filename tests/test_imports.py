@@ -1,0 +1,92 @@
+"""Lazy loading: ``import dp3`` loads no submodule, its exports resolve on
+first access, and the light CLI commands run without numpy."""
+
+import importlib
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import dp3
+from dp3.monodromy import point_to_json
+from dp3.sampling import sample_manifold
+
+SRC = Path(dp3.__file__).resolve().parents[1]
+
+EXPORTS = {
+    "asymptotics": ["H_large", "H_small", "LargeTauChart", "SmallTauChart", "cross_ray_residuals",
+                    "du_small", "large_tau_chart", "small_tau_chart", "tau_function_asymptotic",
+                    "u_imag", "u_large", "u_small"],
+    "backlund": ["LadderEntry", "backlund_step", "ladder", "lattice_residuals",
+                 "lie_point_solution"],
+    "connection": ["ConnectionReport", "LargeTauFit", "fit_large_tau", "verify_connection"],
+    "errors": ["ConditionViolationError", "DP3Error", "IntegrationFailureError",
+               "LadderBreakdownError", "PoleError", "SamplingExhaustedError", "SingularityError"],
+    "monodromy": ["MonodromyPoint", "StokesSet", "apply_F", "apply_Fhat", "backlund_monodromy",
+                  "cyclic_residuals", "from_branch", "lie_point_monodromy", "manifold_residual",
+                  "point_from_json", "point_to_json", "rho_from", "stokes_structure"],
+    "ode": ["HamiltonianSplit", "SolutionState", "Trajectory", "algebraic_solution", "dp3_rhs",
+            "hamiltonian_abcd", "hamiltonian_pq", "hamiltonian_system_rhs", "hamiltonian_u",
+            "integrate_ray", "p_from_u", "residual_on_grid", "sigma_and_f", "to_abcd",
+            "trajectory_to_csv"],
+    "params": ["EquationParams"],
+    "sampling": ["sample_manifold"],
+    "specfun": ["digamma", "gamma", "ln_gamma"],
+}
+
+
+def run_child(code: str) -> str:
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, cwd=SRC, timeout=60)
+    return out.stdout.strip()
+
+
+def test_import_dp3_loads_no_submodule_and_no_numpy():
+    code = ("import sys, dp3; "
+            "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('dp3.')))")
+    assert run_child(code) == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    ["monodromy", "map", "--map", "F", "--eps1", "1"],
+    ["chart", "large", "--eps", "1", "--b", "1"],
+    ["eval", "u", "--regime", "small", "--tau", "0.01", "--eps", "1", "--b", "1"],
+])
+def test_light_commands_leave_numpy_unloaded(argv):
+    pt = sample_manifold(seed=5, count=1, branch=1, nu_max=0.1)[0]
+    argv = argv + ["--point", point_to_json(pt)]
+    code = ("import contextlib, io, sys, dp3.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    rc = dp3.cli.main({argv!r})\n"
+            "print(rc, 'numpy' in sys.modules)")
+    assert run_child(code) == "0 False"
+
+
+def test_all_lists_every_export_and_resolves_to_the_submodule_object():
+    expected = sorted(name for names in EXPORTS.values() for name in names)
+    assert len(expected) == 61
+    assert sorted(dp3.__all__) == expected
+    for module, names in EXPORTS.items():
+        sub = importlib.import_module(f"dp3.{module}")
+        for name in names:
+            assert getattr(dp3, name) is getattr(sub, name), name
+    assert set(dp3.__all__) <= set(dir(dp3))
+
+
+def test_star_import_and_submodule_access_resolve_lazily():
+    code = ("import sys, json, dp3\n"
+            "ns = {}\n"
+            "exec('from dp3 import *', ns)\n"
+            "print(json.dumps([len([k for k in ns if not k.startswith('__')]),"
+            " dp3.ode.__name__, 'dp3.cli' in sys.modules]))")
+    assert json.loads(run_child(code)) == [61, "dp3.ode", False]
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'not_a_name'"):
+        dp3.not_a_name  # noqa: B018
+    assert not hasattr(dp3, "np")
+    with pytest.raises(ImportError):
+        exec("from dp3 import not_a_name", {})

@@ -69,6 +69,17 @@ def test_branch3_zero_free_parameter_rejected():
         from_branch(1, 0.0, g11=1.0, g12=0.5, g21=0.5, g22=1.0)  # det != 1
 
 
+def test_branch_point_that_overflows_is_rejected():
+    # e^{pi a} overflows (Re a = 300), underflows to a zero divisor (Re a = -300),
+    # or leaves a non-finite coordinate (e^{3 pi a} at Re a = 100)
+    for branch, a, free in ((1, 300.0, dict(g11=1.0, g12=0.0, g21=0.0, g22=1.0)),
+                            (2, -300.0, dict(s00=0.5, g22=1.0)),
+                            (3, 100.0, dict(s00=0.5, g11=1.0)),
+                            (1, complex("nan"), dict(g11=1.0, g12=0.0, g21=0.0, g22=1.0))):
+        with pytest.raises(ConditionViolationError):
+            from_branch(branch, a, **free)
+
+
 # ------------------------------------------------------------------ rho
 
 def test_rho_examples(identity_point):

@@ -292,6 +292,19 @@ def test_bound_failure_located_in_failing_step(monkeypatch):
     assert sol.t[-1] < exc.value.tau_abs <= 50.0
 
 
+def test_step_budget_stops_an_ordinary_ray(monkeypatch):
+    seed, a = crit10_seed()
+    full = integrate_ray(seed, a, P1, 400.0, tol=1e-10)
+    assert 50 < full.nsteps < ode._MAX_STEPS
+    monkeypatch.setattr(ode, "_MAX_STEPS", 50)
+    with pytest.raises(IntegrationFailureError, match="step budget of 50") as exc:
+        integrate_ray(seed, a, P1, 400.0, tol=1e-10)
+    # stopped at the 50th accepted step of the same ray
+    assert exc.value.tau_abs == pytest.approx(abs(full.tau[50]), rel=1e-12)
+    assert abs(seed.tau) < exc.value.tau_abs < 400.0
+    assert str(exc.value).endswith(f"near |tau| = {exc.value.tau_abs:.6g}")
+
+
 def test_trajectory_records_solver_counts(monkeypatch):
     original, results = ode.solve_ivp, []
 
