@@ -2,8 +2,12 @@
 
 Every command is a thin adapter over the library: identical numbers to
 direct calls.  Exit codes: 0 success, 2 validation problems, 3
-mathematical condition violations, 4 integration failures.  Errors are
-emitted as one JSON object on stderr.  Set DP3_LOG=debug for tracebacks.
+mathematical condition violations, 4 integration failures.  Every error,
+a malformed command line included, is emitted as one JSON object on
+stderr; ``--help`` prints usage on stdout and exits 0.  The parser checks
+each argument on its own (finite numbers, counts, the tolerance range);
+the handlers check only what depends on several arguments or on a file.
+Set DP3_LOG=debug for tracebacks.
 
 Each command imports only the submodules it runs: ``monodromy map``,
 ``chart`` and ``eval`` never load numpy or the integrator.
@@ -62,46 +66,22 @@ class _ValidationError(Exception):
 
 def _params_from(args) -> EquationParams:
     try:
-        return EquationParams.make(args.eps, args.b, getattr(args, "eps2", None))
+        return EquationParams.make(args.eps, args.b, args.eps2)
     except ConditionViolationError as exc:
         raise _ValidationError(str(exc)) from exc
 
 
-def _parse_complex(text: str) -> complex:
-    try:
-        parts = text.split(",")
-        if len(parts) == 2:
-            value = complex(float(parts[0]), float(parts[1]))
-        else:
-            value = complex(text)
-    except ValueError as exc:
-        raise _ValidationError(f"cannot parse complex number {text!r}") from exc
-    if not cmath.isfinite(value):
-        raise _ValidationError(f"complex number {text!r} is not finite")
-    return value
+def _write(text: str, args) -> None:
+    """Write ``text`` to the ``--output`` file when one is given, else to stdout."""
+    if args.output:
+        with open(args.output, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _emit(payload, args) -> None:
-    text = json.dumps(payload, indent=2)
-    if getattr(args, "output", None):
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-
-
-def _check_finite(name: str, value: float) -> None:
-    if not math.isfinite(value):
-        raise _ValidationError(f"{name} must be finite")
-
-
-def _check_tol(tol: float) -> float:
-    from . import ode
-
-    lo, hi = ode._TOL_RANGE
-    if not (lo <= tol <= hi):
-        raise _ValidationError(f"tolerance must lie in [{lo}, {hi}]")
-    return tol
+    _write(json.dumps(payload, indent=2) + "\n", args)
 
 
 # ---------------------------------------------------------------- commands
@@ -174,7 +154,6 @@ def _cmd_chart(args) -> int:
 def _cmd_eval(args) -> int:
     from . import asymptotics
 
-    _check_finite("--tau", args.tau)
     pt = _load_point(args.point)
     params = _params_from(args)
     if args.imaginary:
@@ -208,10 +187,8 @@ def _seed_state(args, params) -> tuple[SolutionState, complex]:
         return state, pt.a
     if args.u0 is None or args.du0 is None:
         raise _ValidationError("give either --point or both --u0 and --du0")
-    a = _parse_complex(args.a) if args.a else 0.0
     tau0 = args.tau0 * np.exp(1j * np.pi * args.eps1)
-    return ode.SolutionState(complex(tau0), _parse_complex(args.u0),
-                             _parse_complex(args.du0)), a
+    return ode.SolutionState(complex(tau0), args.u0, args.du0), args.a
 
 
 def _cmd_integrate(args) -> int:
@@ -219,72 +196,47 @@ def _cmd_integrate(args) -> int:
 
     from . import ode
 
-    _check_finite("--tau0", args.tau0)
-    _check_finite("--tau-end", args.tau_end)
-    if args.samples < 0:
-        raise _ValidationError("--samples must be non-negative")
     params = _params_from(args)
     state, a = _seed_state(args, params)
     dense = None
     if args.samples:
         dense = np.linspace(args.tau0, args.tau_end, args.samples)
-    traj = ode.integrate_ray(state, a, params, args.tau_end,
-                             tol=_check_tol(args.tol), dense_at=dense)
-    text = ode.trajectory_to_csv(traj)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    traj = ode.integrate_ray(state, a, params, args.tau_end, tol=args.tol, dense_at=dense)
+    _write(ode.trajectory_to_csv(traj), args)
     return 0
 
 
 def _cmd_verify(args) -> int:
     from . import connection
 
-    if args.tau0_steps < 1 or args.tau1_steps < 1:
-        raise _ValidationError("--tau0-steps and --tau1-steps must be at least 1")
-    _check_finite("--tau0", args.tau0)
-    _check_finite("--tau1", args.tau1)
     pt = _load_point(args.point)
     params = _params_from(args)
     rep = connection.verify_connection(
         pt, params, tau0=args.tau0, tau1=args.tau1, eps1=args.eps1,
-        tol=_check_tol(args.tol), tau0_steps=args.tau0_steps,
-        tau1_steps=args.tau1_steps)
-    text = rep.to_json()
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+        tol=args.tol, tau0_steps=args.tau0_steps, tau1_steps=args.tau1_steps)
+    _write(rep.to_json() + "\n", args)
     return 0
 
 
 def _ladder_entries(args, params):
     from . import backlund, ode
 
-    _check_finite("--tau", args.tau)
-    if args.n_max < 0:
-        raise _ValidationError("--n-max must be non-negative")
-    a0 = _parse_complex(args.a0) if args.a0 else 0.0
     if args.algebraic_seed:
-        if a0 != 0:
+        if args.a0 != 0:
             raise _ValidationError("the algebraic seed solves the equation at a0 = 0")
         seed_eval = lambda t: ode.algebraic_solution(t, params)  # noqa: E731
         seed = seed_eval(args.tau)
     else:
         if args.u0 is None or args.du0 is None:
             raise _ValidationError("give --algebraic-seed or both --u0 and --du0")
-        seed = ode.SolutionState(args.tau, _parse_complex(args.u0), _parse_complex(args.du0))
+        seed = ode.SolutionState(args.tau, args.u0, args.du0)
         seed_eval = None
-    entries = backlund.ladder(seed, a0, params, args.n_max, seed_eval=seed_eval)
-    return entries, a0, seed_eval
+    return backlund.ladder(seed, args.a0, params, args.n_max, seed_eval=seed_eval), seed_eval
 
 
 def _cmd_ladder(args) -> int:
     params = _params_from(args)
-    entries, _, _ = _ladder_entries(args, params)
+    entries, _ = _ladder_entries(args, params)
     payload = [
         {"n": e.n, "a_n": _cpx(e.a_n), "tau": _cpx(e.state.tau),
          "u": _cpx(e.state.u), "du": _cpx(e.state.du), "v": _cpx(e.v),
@@ -300,8 +252,8 @@ def _cmd_lattice(args) -> int:
     from . import backlund
 
     params = _params_from(args)
-    entries, a0, seed_eval = _ladder_entries(args, params)
-    res = backlund.lattice_residuals(entries, args.which, a0, params, seed_eval=seed_eval)
+    entries, seed_eval = _ladder_entries(args, params)
+    res = backlund.lattice_residuals(entries, args.which, args.a0, params, seed_eval=seed_eval)
     _emit([{"n": n, "residual": r} for n, r in res], args)
     return 0
 
@@ -331,15 +283,65 @@ def _cmd_fit(args) -> int:
 
 # ---------------------------------------------------------------- parser
 
-def _add_params(p, eps2=True):
-    p.add_argument("--eps", type=int, required=True, choices=(1, -1))
-    p.add_argument("--b", type=float, required=True)
-    if eps2:
-        p.add_argument("--eps2", type=int, default=None, choices=(0, 1, -1))
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as a validation error (exit 2 and
+    one JSON line) instead of argparse's usage text; subparsers inherit it."""
+
+    def error(self, message):
+        raise _ValidationError(f"{self.prog}: {message}")
+
+
+def _checked(parse, ok, what):
+    """An argparse ``type=``: ``parse`` the text and accept the value only
+    if ``ok`` holds for it."""
+    def convert(text: str):
+        try:
+            value = parse(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+    return convert
+
+
+def _complex(text: str) -> complex:
+    """``x``, ``x+yj`` or ``x,y``."""
+    parts = text.split(",")
+    return complex(float(parts[0]), float(parts[1])) if len(parts) == 2 else complex(text)
+
+
+_finite = _checked(float, math.isfinite, "a finite number")
+_finite_complex = _checked(_complex, cmath.isfinite, "a finite complex number")
+_count = _checked(int, lambda n: n >= 0, "a non-negative integer")
+_steps = _checked(int, lambda n: n >= 1, "an integer of at least 1")
+
+
+def _tol(text: str) -> float:
+    from . import ode
+
+    lo, hi = ode._TOL_RANGE
+    return _checked(float, lambda t: lo <= t <= hi, f"a tolerance in [{lo}, {hi}]")(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    # argument groups that several commands share, passed as ``parents=``
+    point, eps1, output, params, seed = (argparse.ArgumentParser(add_help=False)
+                                         for _ in range(5))
+    point.add_argument("--point", required=True)
+    eps1.add_argument("--eps1", type=int, default=0, choices=(0, 1, -1))
+    output.add_argument("--output")
+    params.add_argument("--eps", type=int, required=True, choices=(1, -1))
+    params.add_argument("--b", type=float, required=True)
+    params.add_argument("--eps2", type=int, default=None, choices=(0, 1, -1))
+    seed.add_argument("--tau", type=_finite, required=True)
+    seed.add_argument("--n-max", type=_count, required=True)
+    seed.add_argument("--a0", type=_finite_complex, default=0.0)
+    seed.add_argument("--algebraic-seed", action="store_true")
+    seed.add_argument("--u0", type=_finite_complex)
+    seed.add_argument("--du0", type=_finite_complex)
+
+    ap = _Parser(
         prog="dp3",
         description="Monodromy data, asymptotic charts, Backlund ladders and "
                     "connection verification for the degenerate third Painleve equation")
@@ -347,14 +349,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     mono = sub.add_parser("monodromy", help="manifold residuals, group actions, sampling")
     msub = mono.add_subparsers(dest="subcommand", required=True)
-    mc = msub.add_parser("check")
-    mc.add_argument("--point", required=True)
-    mc.add_argument("--output")
+    mc = msub.add_parser("check", parents=[point, output])
     mc.set_defaults(func=_cmd_monodromy_check)
-    mm = msub.add_parser("map")
-    mm.add_argument("--point", required=True)
+    mm = msub.add_parser("map", parents=[point, eps1])
     mm.add_argument("--map", required=True, choices=("F", "Fhat", "backlund", "lie"))
-    mm.add_argument("--eps1", type=int, default=0, choices=(0, 1, -1))
     mm.add_argument("--eps2", type=int, default=0, choices=(0, 1, -1))
     mm.add_argument("--direction", default="up", choices=("up", "down"))
     mm.add_argument("--kind", default="negate_tau",
@@ -362,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     mm.add_argument("--p", type=int, default=1, choices=(1, -1))
     mm.add_argument("--l", type=int, default=1, choices=(1, -1))
     mm.set_defaults(func=_cmd_monodromy_map)
-    ms = msub.add_parser("sample")
+    ms = msub.add_parser("sample", parents=[output])
     ms.add_argument("--seed", type=int, required=True)
     ms.add_argument("--count", type=int, required=True)
     ms.add_argument("--branch", type=int, required=True, choices=(1, 2, 3))
@@ -370,90 +368,62 @@ def build_parser() -> argparse.ArgumentParser:
     ms.add_argument("--nu-max", type=float, default=None)
     ms.add_argument("--re-rho-max", type=float, default=None)
     ms.add_argument("--max-entry", type=float, default=None)
-    ms.add_argument("--output")
     ms.set_defaults(func=_cmd_monodromy_sample)
 
-    chart = sub.add_parser("chart", help="build an asymptotic chart from a point")
+    chart = sub.add_parser("chart", parents=[point, eps1, params, output],
+                           help="build an asymptotic chart from a point")
     chart.add_argument("kind", choices=("large", "small"))
-    chart.add_argument("--point", required=True)
-    chart.add_argument("--eps1", type=int, default=0, choices=(0, 1, -1))
-    _add_params(chart)
-    chart.add_argument("--output")
     chart.set_defaults(func=_cmd_chart)
 
-    ev = sub.add_parser("eval", help="evaluate an asymptotic formula")
+    ev = sub.add_parser("eval", parents=[point, eps1, params],
+                        help="evaluate an asymptotic formula")
     ev.add_argument("quantity", choices=("u", "H"))
     ev.add_argument("--regime", required=True, choices=("large", "small"))
-    ev.add_argument("--tau", type=float, required=True)
-    ev.add_argument("--point", required=True)
-    ev.add_argument("--eps1", type=int, default=0, choices=(0, 1, -1))
+    ev.add_argument("--tau", type=_finite, required=True)
     ev.add_argument("--imaginary", action="store_true",
                     help="evaluate on the imaginary ray arg tau = pi eps1 / 2")
-    _add_params(ev)
     ev.set_defaults(func=_cmd_eval)
 
-    ig = sub.add_parser("integrate", help="integrate along a ray")
+    ig = sub.add_parser("integrate", parents=[eps1, params, output], help="integrate along a ray")
     ig.add_argument("--point", help="seed from this point's small-argument chart")
-    ig.add_argument("--u0")
-    ig.add_argument("--du0")
-    ig.add_argument("--a")
-    ig.add_argument("--tau0", type=float, required=True)
-    ig.add_argument("--tau-end", type=float, required=True)
-    ig.add_argument("--eps1", type=int, default=0, choices=(0, 1, -1))
-    ig.add_argument("--tol", type=float, default=1e-10)
-    ig.add_argument("--samples", type=int, default=0)
-    _add_params(ig)
-    ig.add_argument("--output")
+    ig.add_argument("--u0", type=_finite_complex)
+    ig.add_argument("--du0", type=_finite_complex)
+    ig.add_argument("--a", type=_finite_complex, default=0.0)
+    ig.add_argument("--tau0", type=_finite, required=True)
+    ig.add_argument("--tau-end", type=_finite, required=True)
+    ig.add_argument("--tol", type=_tol, default=1e-10)
+    ig.add_argument("--samples", type=_count, default=0)
     ig.set_defaults(func=_cmd_integrate)
 
-    vc = sub.add_parser("verify-connection", help="end-to-end connection check")
-    vc.add_argument("--point", required=True)
-    vc.add_argument("--tau0", type=float, default=0.02)
-    vc.add_argument("--tau1", type=float, default=400.0)
-    vc.add_argument("--eps1", type=int, default=0, choices=(0, 1, -1))
-    vc.add_argument("--tol", type=float, default=1e-10)
-    vc.add_argument("--tau0-steps", type=int, default=1)
-    vc.add_argument("--tau1-steps", type=int, default=3)
-    _add_params(vc)
-    vc.add_argument("--output")
+    vc = sub.add_parser("verify-connection", parents=[point, eps1, params, output],
+                        help="end-to-end connection check")
+    vc.add_argument("--tau0", type=_finite, default=0.02)
+    vc.add_argument("--tau1", type=_finite, default=400.0)
+    vc.add_argument("--tol", type=_tol, default=1e-10)
+    vc.add_argument("--tau0-steps", type=_steps, default=1)
+    vc.add_argument("--tau1-steps", type=_steps, default=3)
     vc.set_defaults(func=_cmd_verify)
 
-    la = sub.add_parser("ladder", help="Backlund ladder from a seed state")
-    la.add_argument("--tau", type=float, required=True)
-    la.add_argument("--n-max", type=int, required=True)
-    la.add_argument("--a0")
-    la.add_argument("--algebraic-seed", action="store_true")
-    la.add_argument("--u0")
-    la.add_argument("--du0")
-    _add_params(la)
-    la.add_argument("--output")
+    la = sub.add_parser("ladder", parents=[seed, params, output],
+                        help="Backlund ladder from a seed state")
     la.set_defaults(func=_cmd_ladder)
 
-    lt = sub.add_parser("lattice", help="lattice-identity residuals along a ladder")
+    lt = sub.add_parser("lattice", parents=[seed, params, output],
+                        help="lattice-identity residuals along a ladder")
     lt.add_argument("--which", required=True, choices=("km", "dp", "toda", "f_rec"))
-    lt.add_argument("--tau", type=float, required=True)
-    lt.add_argument("--n-max", type=int, required=True)
-    lt.add_argument("--a0")
-    lt.add_argument("--algebraic-seed", action="store_true")
-    lt.add_argument("--u0")
-    lt.add_argument("--du0")
-    _add_params(lt)
-    lt.add_argument("--output")
     lt.set_defaults(func=_cmd_lattice)
 
-    ft = sub.add_parser("fit", help="fit the large-argument chart to a trajectory CSV")
+    ft = sub.add_parser("fit", parents=[eps1, params, output],
+                        help="fit the large-argument chart to a trajectory CSV")
     ft.add_argument("--csv", required=True)
-    ft.add_argument("--eps1", type=int, default=0, choices=(0, 1, -1))
-    _add_params(ft)
-    ft.add_argument("--output")
     ft.set_defaults(func=_cmd_fit)
 
     return ap
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except _ValidationError as exc:
         _report_error("validation", exc)

@@ -20,6 +20,7 @@ from .asymptotics import (
     du_small,
     large_tau_chart,
     small_tau_chart,
+    theta_phase,
     u_small,
 )
 from .errors import ConditionViolationError
@@ -74,7 +75,7 @@ def fit_large_tau(traj: Trajectory, params: EquationParams,
     if eps1 is None:
         ph = traj.tau[0] / m[0]
         eps1 = int(round(cmath.phase(ph) / math.pi))
-    theta = 3.0 * math.sqrt(3.0) * params.abs_coupling ** (1.0 / 3.0) * m ** (2.0 / 3.0)
+    theta = theta_phase(params, m)
     if theta.min() < 50.0:
         raise ConditionViolationError(
             f"fit window starts at |tau| = {m.min():.4g} (theta = {theta.min():.1f} < 50); "
@@ -247,8 +248,7 @@ class ConnectionReport:
 
 
 def _z_distance(z1: complex, z2: complex) -> float:
-    d = z1 - z2
-    return abs(complex(d.real, math.remainder(d.imag, _TWO_PI)))
+    return abs(_wrap_mod_2pi_i(z1 - z2))
 
 
 def verify_connection(pt: MonodromyPoint, params: EquationParams,
@@ -307,7 +307,6 @@ def verify_connection(pt: MonodromyPoint, params: EquationParams,
     phase = cmath.exp(1j * math.pi * eps1)
 
     table = []
-    final = None
     for t0 in tau0_list:
         if seed_state is not None:
             seed = seed_state
@@ -326,16 +325,15 @@ def verify_connection(pt: MonodromyPoint, params: EquationParams,
             table.append({"tau0": t0, "tau1": t1, "err_nu": err_nu,
                           "err_z": err_z, "amplitude": fit.oscillation_amplitude,
                           "residual_norm": fit.residual_norm, "condition": fit.condition})
-            if t0 == tau0_list[-1] and t1 == tau1_list[-1]:
-                final = fit
+    # the last row is the smallest tau0 and the largest tau1
     return ConnectionReport(
         predicted_nu_plus_1=lc.nu_plus_1,
         predicted_z=lc.z,
-        fitted_nu_plus_1=final.nu_plus_1,
-        fitted_z=None if final.special else final.z,
-        err_nu=abs(final.nu_plus_1 - lc.nu_plus_1),
-        err_z=None if (lc.z is None or final.special) else _z_distance(final.z, lc.z),
-        oscillation_amplitude=final.oscillation_amplitude,
+        fitted_nu_plus_1=fit.nu_plus_1,
+        fitted_z=None if fit.special else fit.z,
+        err_nu=table[-1]["err_nu"],
+        err_z=table[-1]["err_z"],
+        oscillation_amplitude=fit.oscillation_amplitude,
         convergence_table=table,
     )
 

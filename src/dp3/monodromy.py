@@ -325,16 +325,23 @@ def apply_F(pt: MonodromyPoint, eps1: int, eps2: int) -> MonodromyPoint:
     ``F(eps1, 0) = shift^eps1 . scale((-i e^{pi a/2})^eps1)``,
     ``F(0, -1) = shift^-1 . F(0, 1)``, and the mixed cases apply the ray
     rotation first: ``F(eps1, eps2) = F(0, eps2) . F(eps1, 0)``.  The
-    reverse order is a different map."""
+    reverse order is a different map.  Where the arithmetic fails or the
+    image is not finite, ``ConditionViolationError`` is raised."""
     if eps1 not in (0, 1, -1) or eps2 not in (0, 1, -1):
         raise ConditionViolationError("eps1 and eps2 must be 0 or +-1")
-    if eps1:
-        d = -1j * cmath.exp(0.5 * cmath.pi * pt.a)
-        pt = _shift(_scale(pt, d if eps1 == 1 else 1.0 / d), eps1)
-    if eps2:
-        pt = _flip_a(pt)
-        if eps2 == -1:
-            pt = _shift(pt, -1)
+    try:
+        if eps1:
+            d = -1j * cmath.exp(0.5 * cmath.pi * pt.a)
+            pt = _shift(_scale(pt, d if eps1 == 1 else 1.0 / d), eps1)
+        if eps2:
+            pt = _flip_a(pt)
+            if eps2 == -1:
+                pt = _shift(pt, -1)
+    except (ArithmeticError, ValueError) as exc:  # overflow, 1 / 0, exp of a huge imaginary
+        raise ConditionViolationError(f"F({eps1}, {eps2}) fails at this point: {exc}") from exc
+    # one non-finite coordinate (or a sum beyond the largest float) makes the sum non-finite
+    if not cmath.isfinite(pt.a + pt.s00 + pt.s0inf + pt.s1inf + pt.g11 + pt.g12 + pt.g21 + pt.g22):
+        raise ConditionViolationError(f"F({eps1}, {eps2}) of this point is not finite")
     return pt
 
 

@@ -98,10 +98,6 @@ class Trajectory:
     u_abs_max: float = 0.0
     wall_s: float = 0.0  # integrate_ray's wall time in seconds
 
-    @property
-    def ray_phase(self) -> complex:
-        return self.tau[0] / abs(self.tau[0])
-
     def states(self) -> list[SolutionState]:
         phis = self.phi if self.phi is not None else [None] * len(self.tau)
         return [

@@ -1,0 +1,70 @@
+"""CLI contract: a malformed command line is a validation error like any
+other (exit 2, nothing on stdout, one JSON line on stderr), ``--help``
+still prints usage and exits 0, and ``--output`` writes the bytes that the
+same command prints to stdout."""
+
+import json
+
+import pytest
+
+from dp3 import cli
+from dp3.monodromy import point_to_json
+from dp3.sampling import sample_manifold
+
+PARAMS = ["--eps", "1", "--b", "1"]
+
+
+@pytest.fixture(scope="module")
+def point_path(tmp_path_factory):
+    pt = sample_manifold(seed=5, count=1, branch=1, nu_max=0.1)[0]
+    path = tmp_path_factory.mktemp("pts") / "pt.json"
+    path.write_text(point_to_json(pt))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["monodromy", "sample", "--seed", "abc", "--count", "2", "--branch", "1"],
+    ["monodromy", "sample", "--seed", "1", "--count", "2.5", "--branch", "1"],
+    ["chart", "large", *PARAMS],
+    [],
+    ["ladder", "--tau", "1", "--n-max", "2", "--algebraic-seed", *PARAMS, "--bogus"],
+])
+def test_malformed_command_line_is_one_json_line(argv, capsys):
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["error"] == "validation"
+    assert set(payload) == {"error", "type", "message"}
+
+
+@pytest.mark.parametrize("command", [
+    [], ["monodromy"], ["monodromy", "check"], ["monodromy", "map"], ["monodromy", "sample"],
+    ["chart"], ["eval"], ["integrate"], ["verify-connection"], ["ladder"], ["lattice"], ["fit"],
+])
+def test_help_prints_usage_and_exits_zero(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*command, "--help"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 0
+    assert out.startswith("usage: dp3") and err == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["integrate", "--point", "{point}", "--tau0", "0.02", "--tau-end", "3", "--samples", "5",
+     *PARAMS],
+    ["verify-connection", "--point", "{point}", "--tau1-steps", "1", *PARAMS],
+    ["chart", "large", "--point", "{point}", *PARAMS],
+    ["monodromy", "sample", "--seed", "3", "--count", "2", "--branch", "2"],
+])
+def test_output_file_equals_stdout(argv, point_path, tmp_path, capsys):
+    argv = [point_path if a == "{point}" else a for a in argv]
+    assert cli.main(argv) == 0
+    printed = capsys.readouterr().out
+    target = tmp_path / "out.txt"
+    assert cli.main([*argv, "--output", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    assert target.read_bytes() == printed.encode()
+    assert printed.endswith("\n")

@@ -1,0 +1,70 @@
+"""Property over the library entry points: on any point of eight finite
+complex coordinates (off the manifold, zero or huge), the charts, their
+evaluators, ``apply_F`` and ``rho_from`` return finite values or raise a
+``DP3Error``.
+"""
+
+import cmath
+
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
+
+from dp3.asymptotics import (
+    H_large,
+    H_small,
+    du_small,
+    large_tau_chart,
+    small_tau_chart,
+    u_large,
+    u_small,
+)
+from dp3.errors import DP3Error
+from dp3.monodromy import MonodromyPoint, apply_F, rho_from
+from dp3.params import EquationParams
+
+SPECIAL = (0.0, -0.0, 1.0, -1.0, 0.5, 1e-300, 1e20, 1e150, 1e300, -1e300, 700.0, -700.0)
+REAL = st.one_of(st.sampled_from(SPECIAL), st.floats(-3.0, 3.0),
+                 st.floats(allow_nan=False, allow_infinity=False))
+COORD = st.builds(complex, REAL, REAL)
+POINT = st.builds(MonodromyPoint, *[COORD] * 8)
+PARAMS = st.builds(EquationParams.make, st.sampled_from((1, -1)),
+                   st.sampled_from((1.0, -1.0, 0.3, 5.0, 1e-200, 1e150)))
+SIGN = st.sampled_from((0, 1, -1))
+TAU = st.one_of(st.sampled_from((1e-300, 1e-3, 0.5, 1.0, 50.0, 1e6, 1e300)),
+                st.floats(min_value=1e-300, max_value=1e300))
+
+
+def finite(value) -> bool:
+    """A number, or every number field of a point or a chart, is finite."""
+    numbers = (complex, float, int)
+    if isinstance(value, numbers):
+        return cmath.isfinite(value)
+    return all(cmath.isfinite(v) for v in vars(value).values() if isinstance(v, numbers))
+
+
+def call(fn, *args):
+    """``fn(*args)`` if it returns finite values, ``None`` if it raises a
+    ``DP3Error``; any other outcome fails the property."""
+    try:
+        value = fn(*args)
+    except DP3Error:
+        return None
+    assert finite(value), (fn.__name__, args, value)
+    return value
+
+
+# no explain phase: its line tracing makes a failing run slow and large
+@settings(max_examples=200, deadline=None,
+          phases=[p for p in Phase if p is not Phase.explain])
+@given(POINT, PARAMS, SIGN, SIGN, TAU)
+def test_entry_points_return_finite_values_or_raise_typed_errors(pt, params, eps1, eps2, tau):
+    call(apply_F, pt, eps1, eps2)
+    call(rho_from, pt)
+    large = call(large_tau_chart, pt, eps1, params)
+    if large is not None:
+        for fn in (u_large, H_large):
+            call(fn, large, tau)
+    small = call(small_tau_chart, pt, eps1, params)
+    if small is not None:
+        for fn in (u_small, du_small, H_small):
+            call(fn, small, tau)
