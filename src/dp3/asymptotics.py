@@ -12,10 +12,12 @@ then take only the positive magnitude ``|tau|``.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 
+# the errors module, not its decorator: perfbench/tracer.py wraps the
+# functions bound in this namespace and looks each up in its own module
+from . import errors
 from .errors import ConditionViolationError
 from .monodromy import MonodromyPoint, apply_F, lie_point_monodromy, rho_from
 from .params import EquationParams
@@ -54,26 +56,6 @@ def theta_phase(params: EquationParams, tau_abs: float) -> float:
 def nu_plus_1_of(g11: complex, g22: complex) -> complex:
     """Index of the large-argument chart, (i / 2 pi) ln(g11 g22)."""
     return 0.5j / math.pi * cmath.log(g11 * g22)
-
-
-def _finite_result(fn):
-    """Make a chart builder or evaluator raise ``ConditionViolationError``
-    where its arithmetic fails or its value (any number field of a chart) is not finite."""
-    @functools.wraps(fn)
-    def checked(*args, **kwargs):
-        try:
-            value = fn(*args, **kwargs)
-        except (ArithmeticError, ValueError) as exc:  # overflow, 1 / 0, a math domain error
-            raise ConditionViolationError(f"{fn.__name__}: {exc}") from exc
-        numbers = (complex, float, int)
-        if type(value) in numbers:
-            finite = cmath.isfinite(value)
-        else:
-            finite = all([cmath.isfinite(v) for v in vars(value).values() if type(v) in numbers])
-        if not finite:
-            raise ConditionViolationError(f"{fn.__name__}: the result is not finite")
-        return value
-    return checked
 
 
 def _check_a(a: complex) -> None:
@@ -146,7 +128,7 @@ def _mapped_g(pt: MonodromyPoint, eps1: int, params: EquationParams):
     return mapped.g11, mapped.g12, mapped.g21, mapped.g22
 
 
-@_finite_result
+@errors.finite_result
 def large_tau_chart(pt: MonodromyPoint, eps1: int, params: EquationParams) -> LargeTauChart:
     """Chart for the expansion as |tau| -> infinity on arg tau = pi eps1."""
     _check_a(pt.a)
@@ -194,7 +176,7 @@ def _special_oscillation(chart: LargeTauChart, m: float) -> complex:
         * cmath.exp(1j * (theta + 3.0 * math.pi / 4.0))
 
 
-@_finite_result
+@errors.finite_result
 def u_large(chart: LargeTauChart, tau_abs: float) -> complex:
     """Leading large-argument value at |tau| = tau_abs on the chart's ray
     (all dropped correction terms set to zero)."""
@@ -213,7 +195,7 @@ def u_large(chart: LargeTauChart, tau_abs: float) -> complex:
            * cmath.cosh(1j * theta + chart.nu_plus_1 * cmath.log(theta) + chart.z))
 
 
-@_finite_result
+@errors.finite_result
 def H_large(chart: LargeTauChart, tau_abs: float) -> complex:
     """Leading Hamiltonian value on the chart's ray; the degenerate charts
     share the generic formula with nu + 1 = 0."""
@@ -241,7 +223,7 @@ def _chi(ga: complex, gb: complex, z: complex) -> complex:
         + gb * cmath.exp(-1j * math.pi * z - 0.25j * math.pi)
 
 
-@_finite_result
+@errors.finite_result
 def small_tau_chart(pt: MonodromyPoint, eps1: int, params: EquationParams) -> SmallTauChart:
     """Chart for the expansion as |tau| -> 0 on arg tau = pi eps1."""
     _check_a(pt.a)
@@ -314,7 +296,7 @@ def _small_brackets(chart: SmallTauChart, m: float):
     return t1p + t1m, t2p + t2m, t1p - t1m, t2p - t2m
 
 
-@_finite_result
+@errors.finite_result
 def u_small(chart: SmallTauChart, tau_abs: float) -> complex:
     """Leading small-argument value at |tau| = tau_abs on the chart's ray."""
     P = chart.params
@@ -329,7 +311,7 @@ def u_small(chart: SmallTauChart, tau_abs: float) -> complex:
     return s * tau * P.b / (16.0 * math.pi) * cmath.exp(s * math.pi * chart.a / 2.0) * F1 * F2
 
 
-@_finite_result
+@errors.finite_result
 def du_small(chart: SmallTauChart, tau_abs: float) -> complex:
     """Analytic tau-derivative of ``u_small`` along the ray."""
     P = chart.params
@@ -345,7 +327,7 @@ def du_small(chart: SmallTauChart, tau_abs: float) -> complex:
     return K * (F1 * F2 + 2.0 * chart.rho * (G1 * F2 + F1 * G2))
 
 
-@_finite_result
+@errors.finite_result
 def H_small(chart: SmallTauChart, tau_abs: float) -> complex:
     """Leading small-argument Hamiltonian on the chart's ray."""
     P = chart.params
@@ -405,6 +387,7 @@ def imag_chart(pt: MonodromyPoint, eps1: int, params: EquationParams,
     raise ConditionViolationError("regime must be 'large' or 'small'")
 
 
+@errors.finite_result
 def u_imag(pt: MonodromyPoint, eps1: int, params: EquationParams,
            tau_abs: float, regime: str) -> complex:
     """Leading value on the imaginary ray arg tau = pi eps1 / 2.
@@ -412,7 +395,8 @@ def u_imag(pt: MonodromyPoint, eps1: int, params: EquationParams,
     Composes the two independently verified pieces: the quarter rotation
     of the ray (which flips the coupling sign and acts on the monodromy
     data) and the real-axis kernels, with the overall prefactor i * eps1
-    coming from the rotation's action on solutions."""
+    coming from the rotation's action on solutions.  An arithmetic failure
+    or a non-finite value raises ``ConditionViolationError``."""
     _magnitude(tau_abs)
     chart = imag_chart(pt, eps1, params, regime)
     if regime == "large":
@@ -429,10 +413,12 @@ def du_imag(pt: MonodromyPoint, eps1: int, params: EquationParams,
     return du_small(chart, tau_abs)
 
 
+@errors.finite_result
 def cross_ray_residuals(pt: MonodromyPoint) -> list[float]:
     """Absolute residuals of the four identities connecting the charts on
     the three real rays (eps2 = 0): omega(+-1, 0) and nu(+-1, 0) + 1 in
-    terms of omega, nu + 1, and a."""
+    terms of omega, nu + 1, and a.  An arithmetic failure or a non-finite
+    residual raises ``ConditionViolationError``."""
     def chart_pair(eps1: int):
         m = apply_F(pt, eps1, 0)
         if m.g11 * m.g12 * m.g21 * m.g22 == 0:

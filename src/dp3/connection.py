@@ -251,6 +251,18 @@ def _z_distance(z1: complex, z2: complex) -> float:
     return abs(_wrap_mod_2pi_i(z1 - z2))
 
 
+def _z_on_branch(fit: LargeTauFit, nu_plus_1: complex) -> complex:
+    """The fitted z on the branch of sqrt(nu + 1) continued from the
+    predicted ``nu_plus_1``.  ``fit_large_tau`` divides its weights by the
+    principal sqrt of the fitted nu + 1, which changes sign across the
+    negative real axis, so a fit just across that axis from the prediction
+    moves z by i pi; this takes the i pi back when Re(sqrt(fitted) /
+    sqrt(predicted)) < 0."""
+    if (cmath.sqrt(fit.nu_plus_1) * cmath.sqrt(nu_plus_1).conjugate()).real < 0:
+        return _wrap_mod_2pi_i(fit.z + 1j * math.pi)
+    return fit.z
+
+
 def verify_connection(pt: MonodromyPoint, params: EquationParams,
                       tau0: float = 0.02, tau1: float = 400.0,
                       eps1: int = 0, tol: float = 1e-11,
@@ -261,7 +273,10 @@ def verify_connection(pt: MonodromyPoint, params: EquationParams,
     ``tau1``, fit the large-argument chart, and compare with the
     prediction.  A convergence table over decreasing tau0 and increasing
     tau1 quantifies the dropped-correction error; each of its rows also
-    keeps the fit's residual norm and basis condition number.
+    keeps the fit's residual norm and basis condition number.  The fitted
+    z (``fitted_z`` and every ``err_z``) is taken on the predicted nu + 1's
+    branch of sqrt(nu + 1), so that a fitted nu + 1 just across the
+    negative real axis from the prediction does not read as err_z = pi.
 
     ``seed_state`` replaces the small-chart seed when the exact solution
     is known (then only the large side is under test and the small-chart
@@ -319,9 +334,9 @@ def verify_connection(pt: MonodromyPoint, params: EquationParams,
             window = Trajectory(params, pt.a, traj.tau[sl], traj.u[sl],
                                 traj.du[sl], None, traj.H[sl])
             fit = fit_large_tau(window, params, eps1)
+            z = None if fit.special else _z_on_branch(fit, lc.nu_plus_1)
             err_nu = abs(fit.nu_plus_1 - lc.nu_plus_1)
-            err_z = None if (lc.z is None or fit.special) \
-                else _z_distance(fit.z, lc.z)
+            err_z = None if (lc.z is None or z is None) else _z_distance(z, lc.z)
             table.append({"tau0": t0, "tau1": t1, "err_nu": err_nu,
                           "err_z": err_z, "amplitude": fit.oscillation_amplitude,
                           "residual_norm": fit.residual_norm, "condition": fit.condition})
@@ -330,7 +345,7 @@ def verify_connection(pt: MonodromyPoint, params: EquationParams,
         predicted_nu_plus_1=lc.nu_plus_1,
         predicted_z=lc.z,
         fitted_nu_plus_1=fit.nu_plus_1,
-        fitted_z=None if fit.special else fit.z,
+        fitted_z=z,
         err_nu=table[-1]["err_nu"],
         err_z=table[-1]["err_z"],
         oscillation_amplitude=fit.oscillation_amplitude,

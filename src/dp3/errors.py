@@ -6,6 +6,9 @@ mathematical condition violations exit 3, integration failures exit 4.
 
 from __future__ import annotations
 
+import cmath
+import functools
+
 
 class DP3Error(Exception):
     """Base class for all errors raised by this package."""
@@ -42,3 +45,37 @@ class LadderBreakdownError(DP3Error):
 
 class SamplingExhaustedError(DP3Error):
     """Rejection sampling exceeded its attempt budget."""
+
+
+_NUMBERS = (complex, float, int)
+
+
+def _finite(value) -> bool:
+    """Whether a number, the sum of a tuple or list of numbers (a numpy
+    array is read as one), or every number field of a result object (a
+    chart) is finite.  One
+    non-finite entry makes the sum non-finite, and so does a sum beyond the
+    largest float."""
+    if type(value) in _NUMBERS:
+        return cmath.isfinite(value)
+    if isinstance(value, (tuple, list)):
+        return cmath.isfinite(sum(value))
+    if hasattr(value, "__dict__"):
+        return all([cmath.isfinite(v) for v in vars(value).values() if type(v) in _NUMBERS])
+    return _finite(value.tolist())  # a numpy array or scalar
+
+
+def finite_result(fn, finite=_finite):
+    """Make ``fn`` raise ``ConditionViolationError`` where its arithmetic
+    fails (an overflow, a division by zero, a math domain error, a singular
+    matrix) or ``finite`` of its value is false."""
+    @functools.wraps(fn)
+    def checked(*args, **kwargs):
+        try:
+            value = fn(*args, **kwargs)
+        except (ArithmeticError, ValueError) as exc:  # numpy's LinAlgError is a ValueError
+            raise ConditionViolationError(f"{fn.__name__}: {exc}") from exc
+        if not finite(value):
+            raise ConditionViolationError(f"{fn.__name__}: the result is not finite")
+        return value
+    return checked

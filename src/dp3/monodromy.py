@@ -22,10 +22,14 @@ primitives, the only code that writes out matrix entries: ``_shift``
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+# the errors module, not its decorator: perfbench/tracer.py wraps the
+# functions bound in this namespace and looks each up in its own module
+from . import errors
 from .errors import ConditionViolationError
 
 if TYPE_CHECKING:
@@ -115,6 +119,17 @@ class MonodromyPoint:
         return np.array([[self.g11, self.g12], [self.g21, self.g22]], dtype=complex)
 
 
+def _finite_image(pt: MonodromyPoint) -> bool:
+    """The group actions' check: one non-finite coordinate (or a sum beyond
+    the largest float) makes the sum of the eight non-finite."""
+    return cmath.isfinite(pt.a + pt.s00 + pt.s0inf + pt.s1inf + pt.g11 + pt.g12 + pt.g21 + pt.g22)
+
+
+# a group action that fails in its arithmetic or whose image is not finite
+# raises ConditionViolationError
+_finite_action = functools.partial(errors.finite_result, finite=_finite_image)
+
+
 @dataclass(frozen=True)
 class StokesSet:
     """Stokes matrices on an index window plus both monodromy matrices."""
@@ -125,10 +140,12 @@ class StokesSet:
     m_inf: np.ndarray
 
 
+@errors.finite_result
 def manifold_residual(pt: MonodromyPoint) -> np.ndarray:
     """Absolute residuals of the five defining relations, in order:
     the multiplier product relation, the mixed G relation, the two
-    quadratic G relations, and ``det G - 1``."""
+    quadratic G relations, and ``det G - 1``.  An arithmetic failure or a
+    non-finite residual raises ``ConditionViolationError``."""
     import numpy as np
 
     a, s00, s0, s1 = pt.a, pt.s00, pt.s0inf, pt.s1inf
@@ -248,23 +265,27 @@ def stokes_structure(pt: MonodromyPoint, k_min: int = 0, k_max: int = 3) -> Stok
     return StokesSet(s_zero=s_zero, s_inf=s_inf, m_zero=m_zero, m_inf=m_inf)
 
 
+@errors.finite_result
 def cyclic_residuals(pt: MonodromyPoint) -> tuple[float, float]:
     """Entrywise max-norm residuals of the cyclic relation
     ``G M_inf = M_0 G`` and of the semi-cyclic relation
-    ``G^-1 S0_0 sigma1 G = S_inf_0 S_inf_1 sigma3 e^{-pi(a - i/2) sigma3}``."""
+    ``G^-1 S0_0 sigma1 G = S_inf_0 S_inf_1 sigma3 e^{-pi(a - i/2) sigma3}``.
+    An overflow, a singular G or a non-finite residual raises
+    ``ConditionViolationError``."""
     import numpy as np
 
-    ss = stokes_structure(pt)
-    G = pt.G
-    cyc = np.max(np.abs(G @ ss.m_inf - ss.m_zero @ G))
-    lhs = np.linalg.solve(G, _stokes_zero(pt, 0) @ _constant("SIGMA1") @ G)
-    rhs = (
-        _stokes_inf(pt, 0)
-        @ _stokes_inf(pt, 1)
-        @ _constant("SIGMA3")
-        @ _exp_sigma3(-cmath.pi * (pt.a - 0.5j))
-    )
-    semi = np.max(np.abs(lhs - rhs))
+    with np.errstate(all="ignore"):  # an overflow shows as a non-finite residual
+        ss = stokes_structure(pt)
+        G = pt.G
+        cyc = np.max(np.abs(G @ ss.m_inf - ss.m_zero @ G))
+        lhs = np.linalg.solve(G, _stokes_zero(pt, 0) @ _constant("SIGMA1") @ G)
+        rhs = (
+            _stokes_inf(pt, 0)
+            @ _stokes_inf(pt, 1)
+            @ _constant("SIGMA3")
+            @ _exp_sigma3(-cmath.pi * (pt.a - 0.5j))
+        )
+        semi = np.max(np.abs(lhs - rhs))
     return float(cyc), float(semi)
 
 
@@ -317,6 +338,7 @@ def _rotate_tau(pt: MonodromyPoint, p: int, l: int) -> MonodromyPoint:
     return _shift(_scale(pt, cmath.exp(0.25 * l * cmath.pi * pt.a)), (p + l) // 2)
 
 
+@_finite_action
 def apply_F(pt: MonodromyPoint, eps1: int, eps2: int) -> MonodromyPoint:
     """Sector-rotation action on the manifold for real-axis charts,
     indexed by ``eps1, eps2 in {0, +1, -1}``.  ``s00`` is always fixed and
@@ -329,22 +351,17 @@ def apply_F(pt: MonodromyPoint, eps1: int, eps2: int) -> MonodromyPoint:
     image is not finite, ``ConditionViolationError`` is raised."""
     if eps1 not in (0, 1, -1) or eps2 not in (0, 1, -1):
         raise ConditionViolationError("eps1 and eps2 must be 0 or +-1")
-    try:
-        if eps1:
-            d = -1j * cmath.exp(0.5 * cmath.pi * pt.a)
-            pt = _shift(_scale(pt, d if eps1 == 1 else 1.0 / d), eps1)
-        if eps2:
-            pt = _flip_a(pt)
-            if eps2 == -1:
-                pt = _shift(pt, -1)
-    except (ArithmeticError, ValueError) as exc:  # overflow, 1 / 0, exp of a huge imaginary
-        raise ConditionViolationError(f"F({eps1}, {eps2}) fails at this point: {exc}") from exc
-    # one non-finite coordinate (or a sum beyond the largest float) makes the sum non-finite
-    if not cmath.isfinite(pt.a + pt.s00 + pt.s0inf + pt.s1inf + pt.g11 + pt.g12 + pt.g21 + pt.g22):
-        raise ConditionViolationError(f"F({eps1}, {eps2}) of this point is not finite")
+    if eps1:
+        d = -1j * cmath.exp(0.5 * cmath.pi * pt.a)
+        pt = _shift(_scale(pt, d if eps1 == 1 else 1.0 / d), eps1)
+    if eps2:
+        pt = _flip_a(pt)
+        if eps2 == -1:
+            pt = _shift(pt, -1)
     return pt
 
 
+@_finite_action
 def apply_Fhat(pt: MonodromyPoint, eps1: int, eps2: int) -> MonodromyPoint:
     """Sector-rotation action used by the imaginary-axis charts, indexed by
     ``eps1 in {+1, -1}`` and ``eps2 in {0, +1, -1}``.  ``s00`` is fixed;
@@ -353,7 +370,9 @@ def apply_Fhat(pt: MonodromyPoint, eps1: int, eps2: int) -> MonodromyPoint:
 
     With ``R(p, l)`` the ``rotate_tau`` of ``lie_point_monodromy``:
     ``Fhat(eps1, +-1) = R(+-1, eps1)`` and
-    ``Fhat(eps1, 0) = F(0, eps1) . R(eps1, -eps1)``, the rotation first."""
+    ``Fhat(eps1, 0) = F(0, eps1) . R(eps1, -eps1)``, the rotation first.
+    Where the arithmetic fails or the image is not finite,
+    ``ConditionViolationError`` is raised."""
     if eps1 not in (1, -1) or eps2 not in (0, 1, -1):
         raise ConditionViolationError("eps1 must be +-1 and eps2 in {0, +-1}")
     if eps2:
@@ -377,6 +396,7 @@ def backlund_monodromy(pt: MonodromyPoint, direction: str) -> MonodromyPoint:
     raise ConditionViolationError("direction must be 'up' or 'down'")
 
 
+@_finite_action
 def lie_point_monodromy(pt: MonodromyPoint, kind: str, p: int = 1, l: int = 1) -> MonodromyPoint:
     """Action on the manifold of the three Lie-point symmetries:
     ``negate_tau`` (tau -> -tau), ``negate_a`` (a -> -a), and
@@ -386,7 +406,9 @@ def lie_point_monodromy(pt: MonodromyPoint, kind: str, p: int = 1, l: int = 1) -
 
     ``negate_tau(p) = F(p, 0)``, ``negate_a(p) = scale(e^{pi a}) . F(0, p)``
     with ``a`` the input's, and
-    ``rotate_tau(p, l) = shift^((p + l)/2) . scale(e^{l pi a/4})``."""
+    ``rotate_tau(p, l) = shift^((p + l)/2) . scale(e^{l pi a/4})``.  Where
+    the arithmetic fails or the image is not finite,
+    ``ConditionViolationError`` is raised."""
     if p not in (1, -1) or l not in (1, -1):
         raise ConditionViolationError("p and l must be +-1")
     if kind == "negate_tau":

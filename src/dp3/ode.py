@@ -22,6 +22,14 @@ The generic kernels call a right-hand side per stage; the fused ones that
 ``integrate_ray`` uses write ``_DDU`` into every stage instead, with the
 ray's constants bound by a factory call, and give the same floats as
 the generic kernels driven by the equivalent closure.
+
+The dense output is filled in one pass after the last step: the same
+generated interpolant runs once over every step that holds a requested
+|tau|, and the interpolating polynomial once over every sample, on numpy
+"lanes" (``_Lanes``) whose arithmetic repeats CPython's scalar complex
+arithmetic bit for bit.  So the samples are the same floats as a
+step-by-step pass, for a few hundred numpy operations per ray in place of
+the Python work of every step.
 """
 
 from __future__ import annotations
@@ -123,7 +131,8 @@ _ddu_expr = eval(compile(f"lambda tau, u, du, c_u2, c_ab, b2: {_DDU}", "<u''>", 
 
 def _ray_constants(a: complex, params: EquationParams) -> tuple:
     """(c_u2, c_ab, b2) = (-8 eps, 2 a b, b^2), the constants of ``_DDU``."""
-    return -8.0 * params.eps, 2.0 * a * params.b, params.b**2
+    b = float(params.b)
+    return float(-8.0 * params.eps), 2.0 * a * b, b**2
 
 
 def _ddu(tau, u, du, a: complex, params: EquationParams):
@@ -283,7 +292,9 @@ def integrate_ray(initial: SolutionState, a: complex, params: EquationParams,
     """Integrate from ``initial`` along its ray until ``|tau| = tau_end``
     with the Dormand-Prince 8(5,3) pair (the in-house DOP853 stepper
     ``solve_ivp`` below, ``rtol = tol``, ``atol = 1e-3 tol``), stopping
-    with a located failure if ``|u|`` leaves ``[u_floor, u_ceil]``.
+    with a located failure if ``|u|`` leaves ``[u_floor, u_ceil]``.  A
+    seed outside those bounds raises ``ConditionViolationError`` before
+    the first step.
 
     ``dense_at`` selects output magnitudes |tau| in any order, filled from
     the 7th-order interpolant (default: the accepted steps).  They must lie
@@ -315,14 +326,21 @@ def integrate_ray(initial: SolutionState, a: complex, params: EquationParams,
     s1 = float(tau_end)
     if s1 <= 0 or s1 == s0:
         raise ConditionViolationError("tau_end must be a positive magnitude distinct from |tau0|")
+    if not u_floor <= abs(initial.u) <= u_ceil:
+        raise ConditionViolationError(
+            f"the seed's |u(tau0)| = {abs(initial.u):.6g} lies outside "
+            f"[u_floor, u_ceil] = [{u_floor:g}, {u_ceil:g}]")
     if dense_at is not None:
         s_req = np.asarray(dense_at, dtype=float)
         if not np.all((min(s0, s1) <= s_req) & (s_req <= max(s0, s1))):
             raise ConditionViolationError("dense_at must lie between |tau0| and tau_end")
 
     y0 = [complex(initial.u), complex(initial.du)] + ([complex(initial.phi)] if with_phi else [])
+    # Python numbers only, so that the scalar steps and the dense pass's
+    # lanes both follow CPython's arithmetic, whatever the caller passed
+    ca = complex(a)
     rhs, step, interpolant = _fused_kernels(len(y0))(
-        phase, *_ray_constants(a, params), 2.0 * a, params.b)
+        complex(phase), *_ray_constants(ca, params), 2.0 * ca, float(params.b))
     sol = solve_ivp(rhs, (s0, s1), y0, rtol=tol, atol=tol * 1e-3, dense_at=dense_at,
                     bounds=(u_floor, u_ceil), kernels=(step, interpolant))
     if sol.status == 1:  # approached a zero or pole
@@ -489,10 +507,16 @@ def _kernel_source(n: int, fused: bool = False) -> str:
     def derivative(prefix: str) -> list[str]:
         """Lines setting prefix0.. to the derivative d/ds at (s, u, du)."""
         values = ("phase * du", f"phase * ({_DDU})", "phase * (a2 / tau + b / u)")
-        return ["    tau = phase * s",
-                "    if u == 0:",
-                '        raise SingularityError(f"u vanished at |tau| = {s}")'] \
-            + [f"    {prefix}{i} = {v}" for i, v in zip(comps, values)]
+        return ["    tau = phase * s"] + [f"    {prefix}{i} = {v}" for i, v in zip(comps, values)]
+
+    def guarded(body: list[str]) -> list[str]:
+        """``body``, whose fused stages divide by u in ``_DDU``, with that
+        division by zero raised as the singularity at the stage's s."""
+        if not fused:
+            return body
+        return ["    try:"] + [f"    {line}" for line in body] \
+            + ["    except ZeroDivisionError:",
+               '        raise SingularityError(f"u vanished at |tau| = {s}") from None']
 
     def stage(s: int) -> list[str]:
         args = [f"y{i} + ({_dot(_A_NONZERO[s - 1], i)}) * h" for i in comps]
@@ -509,8 +533,7 @@ def _kernel_source(n: int, fused: bool = False) -> str:
     lines = ["def step(fun, t, h, y, f, atol, rtol):",
              f"    {ys} = y",
              f"    {tup(f'k0_{i}' for i in comps)} = f"]
-    for s in range(1, 12):
-        lines += stage(s)
+    lines += guarded([line for s in range(1, 12) for line in stage(s)])
     lines += [f"    n{i} = y{i} + ({_dot(weights, i)}) * h" for i in comps]
     for i in comps:
         acc = "=" if i == 0 else "+="  # 0.0 + e * e is e * e, since e * e >= 0
@@ -526,15 +549,14 @@ def _kernel_source(n: int, fused: bool = False) -> str:
               f"    {news} = y_new",
               f"    {tup(f'k12_{i}' for i in comps)} = f_new",
               f"    {ks} = ks"]
-    for s in range(13, 16):
-        lines += stage(s)
+    lines += guarded([line for s in range(13, 16) for line in stage(s)])
     lines += [f"    d{i} = n{i} - y{i}" for i in comps]
     coeffs = (f"(d{i}, k0_{i} * h - d{i}, d{i} * 2.0 - (k12_{i} + k0_{i}) * h, "
               + "".join(f"({_dot(row, i)}) * h, " for row in _D_NONZERO) + ")"
               for i in comps)
     lines.append(f"    return [{', '.join(coeffs)}]")
     if fused:
-        lines += ["", "def rhs(s, y):", "    u, du = y[0], y[1]"] + derivative("f") \
+        lines += ["", "def rhs(s, y):", "    u, du = y[0], y[1]"] + guarded(derivative("f")) \
             + [f"    return {tup(f'f{i}' for i in comps)}"]
         lines = ["def bind(phase, c_u2, c_ab, b2, a2, b):"] \
             + [f"    {line}" if line else "" for line in lines] \
@@ -582,6 +604,149 @@ class _RaySolution:
     u_abs_range: tuple[float, float] = (math.nan, math.nan)  # min, max |y[0]| at t
 
 
+class _Lanes:
+    """Numbers held in a numpy array, one per lane, whose arithmetic repeats
+    CPython's scalar arithmetic bit for bit.  ``v`` is an (m,) float array
+    for m real lanes, or a (2, m) one, real and imaginary parts, for m
+    complex lanes.  The generated interpolant runs on lanes, one per held
+    step, and ``_evaluate`` on lanes, one per sample.
+
+    As CPython does, an operation with a complex operand first makes a real
+    operand x complex(x, 0.0), then applies ``_Py_c_sum``, ``_Py_c_diff``,
+    ``_Py_c_prod`` or ``_Py_c_quot``, here written out in float operations:
+    numpy's own complex loops may fuse a multiply and an add, and then
+    differ from CPython even in the sign of an underflowed zero.  A zero
+    divisor in any lane raises ZeroDivisionError, as a scalar would.  The
+    other operand is a lane or a Python number; numpy never takes lanes for
+    an array.  An overflow gives inf or NaN silently only under
+    ``np.errstate(all="ignore")``, which ``_dense_output`` sets; NaN
+    payloads may differ.
+    """
+
+    __slots__ = ("v", "_mix")
+    __array_ufunc__ = None
+    __hash__ = None
+
+    def __init__(self, v: np.ndarray):
+        self.v, self._mix = v, None
+
+    def take(self, index: np.ndarray) -> _Lanes:
+        return _Lanes(self.v[..., index])
+
+    def mix(self) -> np.ndarray:
+        """(-(im * 0.0), re * 0.0), the terms that a product with a real x
+        adds to (re * x, im * x); cached, since a stage meets many x."""
+        if self._mix is None:
+            self._mix = _mix(self.v)
+        return self._mix
+
+    def __eq__(self, other):
+        """Whether any lane equals ``other``, so that a right-hand side's
+        ``if u == 0`` guard fires when one lane vanishes."""
+        a, b = _complex(self), _complex(other)
+        return bool(np.any((a[0] == b[0]) & (a[1] == b[1])))
+
+    def __neg__(self):
+        return _Lanes(-self.v)
+
+    def __add__(self, other):
+        return _Lanes(_binary(np.add, self, other))
+
+    __radd__ = __add__  # both sums are the same floats
+
+    def __sub__(self, other):
+        return _Lanes(_binary(np.subtract, self, other))
+
+    def __rsub__(self, other):
+        return _Lanes(_binary(np.subtract, other, self))
+
+    def __mul__(self, other):
+        v = self.v
+        if isinstance(other, _Lanes):
+            w = other.v
+            if w.ndim == 1:
+                return _Lanes(v * w if v.ndim == 1 else v * w + self.mix())
+            if v.ndim == 1:
+                return _Lanes(w * v + other.mix())
+            return _Lanes(_c_prod(v, w))
+        if isinstance(other, complex):
+            w = _complex(other)
+            return _Lanes(w * v + _mix(w) if v.ndim == 1 else _c_prod(v, w))
+        return _Lanes(v * other if v.ndim == 1 else v * other + self.mix())
+
+    __rmul__ = __mul__  # _Py_c_prod(a, b) and _Py_c_prod(b, a) are the same floats
+
+    def __truediv__(self, other):
+        return _Lanes(_quotient(self, other))
+
+    def __rtruediv__(self, other):
+        return _Lanes(_quotient(other, self))
+
+
+_MIX = np.array([[-0.0], [0.0]])
+
+
+def _mix(w: np.ndarray) -> np.ndarray:
+    """(-(im * 0.0), re * 0.0) of the (2, ...) parts ``w``, as products."""
+    return w[::-1] * _MIX
+
+
+def _real(x) -> bool:
+    return x.v.ndim == 1 if isinstance(x, _Lanes) else not isinstance(x, complex)
+
+
+def _complex(x) -> np.ndarray:
+    """The (2, ...) real and imaginary parts of a lane or a number; a real
+    x gets the imaginary part 0.0, as in CPython's conversion to complex."""
+    if isinstance(x, _Lanes):
+        v = x.v
+        return v if v.ndim == 2 else np.stack((v, np.zeros_like(v)))
+    x = complex(x)
+    return np.array([[x.real], [x.imag]])
+
+
+def _binary(op, a, b) -> np.ndarray:
+    """a op b for a sum or a difference, on parts (CPython's ``_Py_c_sum``
+    and ``_Py_c_diff`` apply op to each)."""
+    if _real(a) and _real(b):
+        return op(*(x.v if isinstance(x, _Lanes) else float(x) for x in (a, b)))
+    return op(_complex(a), _complex(b))
+
+
+def _c_prod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """CPython's ``_Py_c_prod`` on (2, ...) parts."""
+    p, q = a * b, a * b[::-1]  # (ar br, ai bi), (ar bi, ai br)
+    out = np.empty_like(p)
+    np.subtract(p[0], p[1], out=out[0])
+    np.add(q[0], q[1], out=out[1])
+    return out
+
+
+def _quotient(a, b) -> np.ndarray:
+    """a / b as CPython computes it: a float division when both are real,
+    else ``_Py_c_quot``, which divides through by the larger part p of b,
+    with the roles of re and im swapped when that is b.im.  A NaN in b gives
+    NaN through the same formulas."""
+    if _real(a) and _real(b):
+        a, b = (x.v if isinstance(x, _Lanes) else float(x) for x in (a, b))
+        if not np.all(b):
+            raise ZeroDivisionError("float division by zero")
+        return a / b
+    a, b = _complex(a), _complex(b)
+    by_re = np.abs(b[0]) >= np.abs(b[1])
+    (p, q), xy = np.where(by_re, b, b[::-1]), np.where(by_re, a, a[::-1])
+    if not p.all() and (by_re & (p == 0)).any():
+        raise ZeroDivisionError("complex division by zero")
+    x, y = xy
+    ratio = q / p
+    denom = p + q * ratio
+    xr = x * ratio
+    out = np.empty_like(xy)  # xy has the shape of the quotient
+    np.divide(x + y * ratio, denom, out=out[0])
+    np.divide(np.where(by_re, y - xr, xr - y), denom, out=out[1])
+    return out
+
+
 def _rms(values) -> float:
     total = 0.0
     for v in values:
@@ -595,6 +760,41 @@ def _evaluate(coeffs: list, y: list, x: float) -> list:
     w = 1.0 - x
     return [yi + x * (F0 + w * (F1 + x * (F2 + w * (F3 + x * (F4 + w * (F5 + x * F6))))))
             for yi, (F0, F1, F2, F3, F4, F5, F6) in zip(y, coeffs)]
+
+
+def _dense_output(fun, interpolant, held: list, counts: list, s: np.ndarray,
+                  n: int) -> np.ndarray:
+    """(n, len(s)) interpolated states at the ordered magnitudes ``s``,
+    whose first counts[0] lie in the step held[0] = (t, h, *y, *y_new,
+    *f_new, *ks), the next counts[1] in held[1], and so on.
+
+    ``interpolant`` runs once, on lanes over the held steps, and
+    ``_evaluate`` once, on lanes over the samples: the floats of a
+    step-by-step pass, computed in a few hundred numpy operations.  A
+    SingularityError (u = 0 at an extra stage) is raised again by the first
+    step at fault, replayed alone, as a step-by-step pass would raise it.
+    """
+    def split(row):  # (y, y_new, f_new, ks) of one step's numbers, or of the lanes
+        return row[:n], row[n:2 * n], row[2 * n:3 * n], row[3 * n:]
+
+    packed = np.array(held, dtype=complex)
+    t, h = _Lanes(packed[:, 0].real.copy()), _Lanes(packed[:, 1].real.copy())
+    lanes = [_Lanes(v) for v in np.stack((packed.real.T[2:], packed.imag.T[2:]), axis=1)]
+    y = lanes[:n]
+    with np.errstate(all="ignore"):
+        try:
+            coeffs = interpolant(fun, t, h, *split(lanes))
+        except SingularityError:
+            for step in held:
+                interpolant(fun, step[0], step[1], *split(step[2:]))
+            raise
+        index = np.repeat(np.arange(len(held)), counts)
+        x = _Lanes((s - t.v[index]) / h.v[index])
+        samples = _evaluate([[c.take(index) for c in ci] for ci in coeffs],
+                            [yi.take(index) for yi in y], x)
+    out = np.empty((n, s.size), dtype=complex)
+    out.real, out.imag = [v.v[0] for v in samples], [v.v[1] for v in samples]
+    return out
 
 
 def _exit_fraction(coeffs: list, y: list, lo: float, hi: float) -> float:
@@ -623,10 +823,18 @@ def solve_ivp(fun, t_span: tuple[float, float], y0, rtol: float, atol: float,
     below 10 ulp of t stalls the integration, and a non-finite error
     estimate or more than ``_MAX_STEPS`` accepted steps stops it
     (status -1).  The interpolant's three extra stages are
-    computed only on steps that contain a point of ``dense_at``.  The
+    computed only on steps that contain a point of ``dense_at`` (``nfev``
+    counts 3 for each): the loop keeps those steps, and after the last one
+    ``_dense_output`` runs the interpolant once over all of them and the
+    polynomial once over all samples, on lanes that give the floats of the
+    scalar kernels step by step.  The generic interpolant then passes
+    lanes to ``fun``: its t and the components of y are lanes, so ``fun``
+    may use only the arithmetic operators (+, -, *, / and unary -) and
+    ``== 0``, which holds when any lane is zero, between them and Python
+    numbers.  The pass runs only once the integration has succeeded.  The
     integration stops with status 1 when ``|y[0]|`` leaves ``bounds``, with
-    the exit located inside the step; otherwise ``u_abs_range`` holds the
-    extremes of ``|y[0]|`` over ``t``.
+    the exit located inside the step by the scalar interpolant; otherwise
+    ``u_abs_range`` holds the extremes of ``|y[0]|`` over ``t``.
 
     Each step and interpolant runs through the kernels ``_kernels(len(y0))``
     generated from the tableau; they give the same floats as the dense
@@ -671,7 +879,7 @@ def solve_ivp(fun, t_span: tuple[float, float], y0, rtol: float, atol: float,
         pending = s_req[order].tolist()
     else:
         pending = []
-    samples, ts, states = [], [t], [y]
+    held, counts, ts, states = [], [], [t], [y]  # the steps holding samples, samples per step
     u_min = u_max = abs(y[0])
     i_next = 0
     max_steps = _MAX_STEPS
@@ -707,7 +915,6 @@ def solve_ivp(fun, t_span: tuple[float, float], y0, rtol: float, atol: float,
         f_new = fun(t_new, y_new)
         nfev += 1
 
-        coeffs = None
         u_abs = abs(y_new[0])
         if not lo <= u_abs <= hi:
             coeffs = interpolant(fun, t, h, y, y_new, f_new, ks)
@@ -719,12 +926,13 @@ def solve_ivp(fun, t_span: tuple[float, float], y0, rtol: float, atol: float,
         elif u_abs > u_max:
             u_max = u_abs
         last = t_new == t_bound
+        i_first = i_next
         while i_next < len(pending) and (last or direction * (pending[i_next] - t_new) <= 0):
-            if coeffs is None:
-                coeffs = interpolant(fun, t, h, y, y_new, f_new, ks)
-                nfev += 3
-            samples.append(_evaluate(coeffs, y, (pending[i_next] - t) / h))
             i_next += 1
+        if i_next > i_first:  # one flat tuple of numbers, which the collector soon untracks
+            held.append((t, h, *y, *y_new, *f_new, *ks))
+            counts.append(i_next - i_first)
+            nfev += 3
         t, y, f = t_new, y_new, f_new
         ts.append(t)
         if dense_at is None:
@@ -734,7 +942,9 @@ def solve_ivp(fun, t_span: tuple[float, float], y0, rtol: float, atol: float,
         y_out = np.array(states, dtype=complex).T
     else:
         y_out = np.empty((n, len(pending)), dtype=complex)
-        y_out[:, order] = np.array(samples, dtype=complex).reshape(-1, n).T
+        if held:
+            y_out[:, order] = _dense_output(fun, interpolant, held, counts,
+                                            np.array(pending), n)
     return _RaySolution(np.array(ts), y_out, nfev, 0, u_abs_range=(u_min, u_max))
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from dp3 import cli
 from dp3.asymptotics import small_tau_chart, u_small
-from dp3.monodromy import manifold_residual, point_from_json, point_to_json
+from dp3.monodromy import MonodromyPoint, manifold_residual, point_from_json, point_to_json
 from dp3.params import EquationParams
 from dp3.sampling import sample_manifold
 
@@ -368,3 +368,29 @@ def test_lattice_tau_must_be_finite(capsys):
                                           "2", "--algebraic-seed", "--eps", "1", "--b", "1"])
         assert code == 2 and out == ""
         _assert_json_error(err, "validation")
+
+
+def test_seed_outside_the_u_bounds_exit3(capsys):
+    code, out, err = run_cli(capsys, [
+        "integrate", "--u0", "1e-10", "--du0", "1e-3", "--tau0", "0.5", "--tau-end", "2",
+        "--eps", "1", "--b", "1"])
+    assert code == 3 and out == "" and len(err.splitlines()) == 1
+    _assert_json_error(err, "condition-violation")
+    assert "|u(tau0)| = 1e-10" in json.loads(err)["message"]
+
+
+def test_monodromy_commands_on_overflowing_points_exit3(tmp_path, capsys):
+    # `check` on the 1e300 point printed numpy warnings and a LinAlgError
+    # traceback (exit 1); `map --map Fhat` at a = 800 printed Infinity and
+    # NaN, which is not JSON, and exited 0
+    huge = tmp_path / "huge.json"
+    huge.write_text(point_to_json(MonodromyPoint(0j, *[1e300 + 0j] * 7)))
+    far = tmp_path / "far.json"
+    far.write_text(point_to_json(MonodromyPoint(800 + 0j, 1 + 0j, 1 + 1j, 1 + 1j, 1 + 0j,
+                                                1 + 0j, 1j, 1 + 1j)))
+    for argv in (["monodromy", "check", "--point", str(huge)],
+                 ["monodromy", "map", "--point", str(far), "--map", "Fhat", "--eps1", "1",
+                  "--eps2", "1"]):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 3 and out == "" and len(err.splitlines()) == 1
+        _assert_json_error(err, "condition-violation")

@@ -9,9 +9,9 @@ import pytest
 
 from conftest import sample_generic_charts
 from dp3.asymptotics import large_tau_chart, u_large
-from dp3.connection import fit_large_tau, verify_connection
+from dp3.connection import _z_distance, fit_large_tau, verify_connection
 from dp3.errors import ConditionViolationError
-from dp3.monodromy import from_branch
+from dp3.monodromy import MonodromyPoint, from_branch
 from dp3.ode import Trajectory, algebraic_solution
 from dp3.params import EquationParams
 
@@ -383,3 +383,25 @@ def test_verify_connection_rejects_bad_arguments_before_integrating(fit_point, m
         for kwargs, name in bad:
             with pytest.raises(ConditionViolationError, match=name):
                 verify_connection(fit_point, P1, **kwargs)
+
+
+def test_fitted_z_across_the_negative_real_axis_compares_on_the_predicted_branch():
+    # sample_manifold(seed=11, count=200, branch=1, nu_max=0.4, re_rho_max=0.49,
+    # abs_a_max=1.5, max_entry=50)[11]: predicted nu + 1 = -0.0757 - 0.0035i,
+    # fitted -0.0657 + 0.0006i; on the principal sqrt branch err_z read 3.115
+    pt = MonodromyPoint(
+        a=(0.7812469218605314 - 0.44221060377087495j),
+        s00=(-0.9648634722631406 + 1.1464580502585013j),
+        s0inf=(1.9616966862667695 + 10.129001452211753j),
+        s1inf=(-0.009083040809665285 + 0.1025800134976222j),
+        g11=(0.6953772347844267 - 0.6019904497910247j),
+        g12=(-0.8690508529526568 - 0.2630639193380453j),
+        g21=(-0.005183153061532497 - 0.5140268456712703j),
+        g22=(0.3957008938720827 + 0.9869278054919323j))
+    rep = verify_connection(pt, EquationParams.make(1, 1.0), tau0=2e-4, tau1=400.0, tol=1e-10,
+                            tau0_steps=1, tau1_steps=1)
+    predicted, fitted = rep.predicted_nu_plus_1, rep.fitted_nu_plus_1
+    assert predicted.real < 0 and fitted.real < 0 and predicted.imag * fitted.imag < 0
+    assert rep.err_nu < 2e-2 and rep.err_z < 0.1
+    assert rep.err_z == _z_distance(rep.fitted_z, rep.predicted_z)
+    assert _z_distance(rep.fitted_z + 1j * math.pi, rep.predicted_z) > 3.0

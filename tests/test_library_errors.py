@@ -1,25 +1,37 @@
 """Property over the library entry points: on any point of eight finite
 complex coordinates (off the manifold, zero or huge), the charts, their
-evaluators, ``apply_F`` and ``rho_from`` return finite values or raise a
-``DP3Error``.
+evaluators, the group actions, the manifold and cyclic residuals, the
+imaginary-ray values, the cross-ray residuals and ``rho_from`` return
+finite values or raise a ``DP3Error``.
 """
 
 import cmath
 
+import numpy as np
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from dp3.asymptotics import (
     H_large,
     H_small,
+    cross_ray_residuals,
     du_small,
     large_tau_chart,
     small_tau_chart,
+    u_imag,
     u_large,
     u_small,
 )
 from dp3.errors import DP3Error
-from dp3.monodromy import MonodromyPoint, apply_F, rho_from
+from dp3.monodromy import (
+    MonodromyPoint,
+    apply_F,
+    apply_Fhat,
+    cyclic_residuals,
+    lie_point_monodromy,
+    manifold_residual,
+    rho_from,
+)
 from dp3.params import EquationParams
 
 SPECIAL = (0.0, -0.0, 1.0, -1.0, 0.5, 1e-300, 1e20, 1e150, 1e300, -1e300, 700.0, -700.0)
@@ -30,15 +42,21 @@ POINT = st.builds(MonodromyPoint, *[COORD] * 8)
 PARAMS = st.builds(EquationParams.make, st.sampled_from((1, -1)),
                    st.sampled_from((1.0, -1.0, 0.3, 5.0, 1e-200, 1e150)))
 SIGN = st.sampled_from((0, 1, -1))
+PM = st.sampled_from((1, -1))
+KIND = st.sampled_from(("negate_tau", "negate_a", "rotate_tau"))
+REGIME = st.sampled_from(("large", "small"))
 TAU = st.one_of(st.sampled_from((1e-300, 1e-3, 0.5, 1.0, 50.0, 1e6, 1e300)),
                 st.floats(min_value=1e-300, max_value=1e300))
 
 
 def finite(value) -> bool:
-    """A number, or every number field of a point or a chart, is finite."""
+    """A number, every number in a sequence or an array, or every number
+    field of a point or a chart, is finite."""
     numbers = (complex, float, int)
     if isinstance(value, numbers):
         return cmath.isfinite(value)
+    if isinstance(value, (tuple, list, np.ndarray)):
+        return all(finite(complex(v)) for v in value)
     return all(cmath.isfinite(v) for v in vars(value).values() if isinstance(v, numbers))
 
 
@@ -56,9 +74,16 @@ def call(fn, *args):
 # no explain phase: its line tracing makes a failing run slow and large
 @settings(max_examples=200, deadline=None,
           phases=[p for p in Phase if p is not Phase.explain])
-@given(POINT, PARAMS, SIGN, SIGN, TAU)
-def test_entry_points_return_finite_values_or_raise_typed_errors(pt, params, eps1, eps2, tau):
+@given(POINT, PARAMS, SIGN, SIGN, TAU, PM, PM, KIND, REGIME)
+def test_entry_points_return_finite_values_or_raise_typed_errors(
+        pt, params, eps1, eps2, tau, p, l, kind, regime):
     call(apply_F, pt, eps1, eps2)
+    call(apply_Fhat, pt, p, eps2)
+    call(lie_point_monodromy, pt, kind, p, l)
+    call(manifold_residual, pt)
+    call(cyclic_residuals, pt)
+    call(cross_ray_residuals, pt)
+    call(u_imag, pt, l, params, tau, regime)
     call(rho_from, pt)
     large = call(large_tau_chart, pt, eps1, params)
     if large is not None:

@@ -665,3 +665,15 @@ def test_trajectory_records_solver_statistics():
     window = ode.Trajectory(P1, a, steps.tau, steps.u, steps.du, None, steps.H)
     assert (window.h_min, window.h_max, window.u_abs_min, window.u_abs_max,
             window.wall_s) == (0.0, 0.0, 0.0, 0.0, 0.0)
+
+
+def test_seed_outside_the_u_bounds_raises_before_any_step(monkeypatch):
+    # this seed read "|u| left [1e-08, 1e+08] near |tau| = 0.5; the ray hits a
+    # zero or pole of the solution", an IntegrationFailureError
+    monkeypatch.setattr(ode, "solve_ivp", None)  # any step would call it
+    for u0, bounds in ((1e-10, {}), (3e3 + 4e3j, {"u_ceil": 1e3}), (1e-3, {"u_floor": 0.1})):
+        with pytest.raises(ConditionViolationError) as exc:
+            integrate_ray(SolutionState(0.5, u0, 1e-3), 0.0, P1, 2.0, **bounds)
+        floor, ceil = bounds.get("u_floor", 1e-8), bounds.get("u_ceil", 1e8)
+        assert str(exc.value) == (f"the seed's |u(tau0)| = {abs(u0):.6g} lies outside "
+                                  f"[u_floor, u_ceil] = [{floor:g}, {ceil:g}]")
