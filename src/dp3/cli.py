@@ -173,22 +173,15 @@ def _cmd_eval(args) -> int:
 
 
 def _seed_state(args, params) -> tuple[SolutionState, complex]:
-    import numpy as np
-
-    from . import asymptotics, ode
+    from . import connection, ode
 
     if args.point is not None:
         pt = _load_point(args.point)
-        sc = asymptotics.small_tau_chart(pt, args.eps1, params)
-        phase = np.exp(1j * np.pi * args.eps1)
-        state = ode.SolutionState(args.tau0 * phase,
-                                  asymptotics.u_small(sc, args.tau0),
-                                  asymptotics.du_small(sc, args.tau0))
-        return state, pt.a
+        return connection._chart_seed(pt, params, args.tau0, args.eps1), pt.a
     if args.u0 is None or args.du0 is None:
         raise _ValidationError("give either --point or both --u0 and --du0")
-    tau0 = args.tau0 * np.exp(1j * np.pi * args.eps1)
-    return ode.SolutionState(complex(tau0), args.u0, args.du0), args.a
+    tau0 = args.tau0 * cmath.exp(1j * math.pi * args.eps1)
+    return ode.SolutionState(tau0, args.u0, args.du0), args.a
 
 
 def _cmd_integrate(args) -> int:

@@ -263,41 +263,48 @@ def _z_on_branch(fit: LargeTauFit, nu_plus_1: complex) -> complex:
     return fit.z
 
 
+def _chart_seed(pt: MonodromyPoint, params: EquationParams, tau0: float,
+                eps1: int) -> SolutionState:
+    """(tau, u, u') at |tau| = tau0 on the ray arg tau = pi eps1, from the
+    point's small-argument chart."""
+    sc = small_tau_chart(pt, eps1, params)
+    tau = tau0 * cmath.exp(1j * math.pi * eps1)
+    return SolutionState(tau, u_small(sc, tau0), du_small(sc, tau0))
+
+
 def verify_connection(pt: MonodromyPoint, params: EquationParams,
                       tau0: float = 0.02, tau1: float = 400.0,
-                      eps1: int = 0, tol: float = 1e-11,
-                      tau0_steps: int = 2, tau1_steps: int = 3,
-                      fit_points: int = 240, window_factor: float = 8.0,
+                      eps1: int = 0, tol: float = 1e-10,
+                      tau0_steps: int = 1, tau1_steps: int = 3,
                       seed_state: SolutionState | None = None) -> ConnectionReport:
     """Seed (u, u') at ``tau0`` from the small-argument chart, integrate to
     ``tau1``, fit the large-argument chart, and compare with the
-    prediction.  A convergence table over decreasing tau0 and increasing
-    tau1 quantifies the dropped-correction error; each of its rows also
-    keeps the fit's residual norm and basis condition number.  The fitted
-    z (``fitted_z`` and every ``err_z``) is taken on the predicted nu + 1's
+    prediction.  A convergence table over the seeds tau0 * 2**k (k <
+    ``tau0_steps``) and the 240-sample fit windows [t1 / 8, t1], t1 =
+    tau1 / 2**k (k < ``tau1_steps``), quantifies the dropped-correction
+    error; each row keeps the |tau| its ray started from, the fit's
+    residual norm and its basis condition number.  The fitted z
+    (``fitted_z`` and every ``err_z``) is taken on the predicted nu + 1's
     branch of sqrt(nu + 1), so that a fitted nu + 1 just across the
     negative real axis from the prediction does not read as err_z = pi.
 
-    ``seed_state`` replaces the small-chart seed when the exact solution
-    is known (then only the large side is under test and the small-chart
-    conditions are not required).
+    ``seed_state`` replaces the small-chart seeds when the exact solution
+    is known (then only the large side is under test, the small-chart
+    conditions are not required); its ray is the only one, so every row's
+    tau0 is |seed_state.tau|.
 
     Every fit window lies above the theta > 50 floor, so a smallest rung
     ``tau1 / 2**(tau1_steps - 1)`` below it raises
     ``ConditionViolationError`` before anything is integrated, as do a
     non-finite ``tau0`` or ``tau1``, a largest seed |tau| above the
-    smallest window start, ``tau0_steps`` or ``tau1_steps`` that is not
-    an integer of at least 1, ``fit_points`` that is not an integer of at
-    least 5 and a ``window_factor`` that is not a finite number above 1.
+    smallest window start, and ``tau0_steps`` or ``tau1_steps`` that is
+    not an integer in [1, 1024] (where 2**(steps - 1) is a finite float).
     """
-    for name, count, least in (("tau0_steps", tau0_steps, 1), ("tau1_steps", tau1_steps, 1),
-                               ("fit_points", fit_points, 5)):
-        if not (isinstance(count, numbers.Integral) and count >= least):
-            raise ConditionViolationError(f"{name} must be an integer of at least {least}")
+    for name, count in (("tau0_steps", tau0_steps), ("tau1_steps", tau1_steps)):
+        if not (isinstance(count, numbers.Integral) and 1 <= count <= 1024):
+            raise ConditionViolationError(f"{name} must be an integer in [1, 1024]")
     if not (math.isfinite(tau0) and math.isfinite(tau1)):
         raise ConditionViolationError("tau0 and tau1 must be finite")
-    if not 1.0 < window_factor < math.inf:
-        raise ConditionViolationError("window_factor must be a finite number above 1")
     floor = _theta_floor(params)
     halvings = 2.0 ** (tau1_steps - 1)
     if tau1 / halvings < floor:
@@ -305,39 +312,27 @@ def verify_connection(pt: MonodromyPoint, params: EquationParams,
             f"the smallest fit window ends at tau1 / 2**(tau1_steps - 1) = {tau1 / halvings:.4g}, "
             f"below the theta > 50 floor |tau| = {floor:.4g}; with tau1_steps = {tau1_steps} "
             f"the smallest admissible tau1 is {floor * halvings:.1f}")
-    tau1_list = [tau1 / (2.0**k) for k in range(tau1_steps - 1, -1, -1)]
-    tau0_list = [tau0 * (2.0**k) for k in range(tau0_steps - 1, -1, -1)]
-
-    grids = []
-    for t1 in tau1_list:
-        win_lo = max(t1 / window_factor, floor)
-        grids.append(np.linspace(win_lo, t1, fit_points))
-    seed_max = abs(seed_state.tau) if seed_state is not None else tau0_list[0]
-    if seed_max > grids[0][0]:
+    seeds = [seed_state] if seed_state is not None else [
+        _chart_seed(pt, params, tau0 * 2.0**k, eps1) for k in range(tau0_steps - 1, -1, -1)]
+    tau1_list = [tau1 / 2.0**k for k in range(tau1_steps - 1, -1, -1)]
+    grid = np.concatenate([np.linspace(max(t1 / 8.0, floor), t1, 240) for t1 in tau1_list])
+    seed_max = max(abs(seed.tau) for seed in seeds)
+    if seed_max > grid[0]:
         raise ConditionViolationError(
             f"the largest seed |tau| = {seed_max:.4g} lies above the smallest fit window "
-            f"start |tau| = {grids[0][0]:.4g}; lower tau0 or raise tau1")
-    sc = None if seed_state is not None else small_tau_chart(pt, eps1, params)
+            f"start |tau| = {grid[0]:.4g}; lower tau0 or raise tau1")
     lc = large_tau_chart(pt, eps1, params)
-    phase = cmath.exp(1j * math.pi * eps1)
 
     table = []
-    for t0 in tau0_list:
-        if seed_state is not None:
-            seed = seed_state
-        else:
-            seed = SolutionState(t0 * phase, u_small(sc, t0), du_small(sc, t0))
-        all_m = np.concatenate(grids)
-        traj = integrate_ray(seed, pt.a, params, tau1_list[-1], tol=tol, dense_at=all_m)
-        for k, t1 in enumerate(tau1_list):
-            sl = slice(k * fit_points, (k + 1) * fit_points)
-            window = Trajectory(params, pt.a, traj.tau[sl], traj.u[sl],
-                                traj.du[sl], None, traj.H[sl])
-            fit = fit_large_tau(window, params, eps1)
+    for seed in seeds:
+        traj = integrate_ray(seed, pt.a, params, tau1, tol=tol, dense_at=grid)
+        windows = zip(*(np.split(x, tau1_steps) for x in (traj.tau, traj.u, traj.du, traj.H)))
+        for t1, (tau, u, du, H) in zip(tau1_list, windows):
+            fit = fit_large_tau(Trajectory(params, pt.a, tau, u, du, None, H), params, eps1)
             z = None if fit.special else _z_on_branch(fit, lc.nu_plus_1)
             err_nu = abs(fit.nu_plus_1 - lc.nu_plus_1)
             err_z = None if (lc.z is None or z is None) else _z_distance(z, lc.z)
-            table.append({"tau0": t0, "tau1": t1, "err_nu": err_nu,
+            table.append({"tau0": abs(seed.tau), "tau1": t1, "err_nu": err_nu,
                           "err_z": err_z, "amplitude": fit.oscillation_amplitude,
                           "residual_norm": fit.residual_norm, "condition": fit.condition})
     # the last row is the smallest tau0 and the largest tau1

@@ -57,14 +57,13 @@ __all__ = [
 _CONSTANTS = {
     "SIGMA1": ((0.0, 1.0), (1.0, 0.0)),
     "SIGMA3": ((1.0, 0.0), (0.0, -1.0)),
-    "IDENTITY2": ((1.0, 0.0), (0.0, 1.0)),
 }
 
 _JSON_KEYS = ("a", "s00", "s0inf", "s1inf", "g11", "g12", "g21", "g22")
 
 
 def _constant(name: str) -> np.ndarray:
-    """``SIGMA1``, ``SIGMA3`` or ``IDENTITY2`` as a complex 2x2 array, built once."""
+    """``SIGMA1`` or ``SIGMA3`` as a complex 2x2 array, built once."""
     value = globals().get(name)
     if value is None:
         import numpy as np

@@ -394,3 +394,43 @@ def test_monodromy_commands_on_overflowing_points_exit3(tmp_path, capsys):
         code, out, err = run_cli(capsys, argv)
         assert code == 3 and out == "" and len(err.splitlines()) == 1
         _assert_json_error(err, "condition-violation")
+
+
+def test_verify_defaults_match_library(point_file, capsys):
+    from dp3.connection import verify_connection
+    path, pt = point_file
+    code, out, _ = run_cli(capsys, [
+        "verify-connection", "--point", path, "--eps", "1", "--b", "1"])
+    assert code == 0
+    assert out == verify_connection(pt, EquationParams.make(1, 1.0)).to_json() + "\n"
+
+
+@pytest.mark.parametrize("flag", ["--tau0-steps", "--tau1-steps"])
+@pytest.mark.parametrize("steps", ["1100", "2000"])
+def test_verify_overflowing_step_count_exit3(point_file, capsys, monkeypatch, flag, steps):
+    from dp3 import connection
+
+    def no_integration(*args, **kw):
+        raise AssertionError("integrate_ray must not run")
+
+    monkeypatch.setattr(connection, "integrate_ray", no_integration)
+    path, _ = point_file
+    code, out, err = run_cli(capsys, [
+        "verify-connection", "--point", path, "--eps", "1", "--b", "1", flag, steps])
+    assert code == 3 and out == "" and len(err.splitlines()) == 1
+    _assert_json_error(err, "condition-violation")
+    assert flag[2:].replace("-", "_") in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize("eps1", ["0", "1"])
+def test_integrate_point_seed_is_the_small_chart(point_file, capsys, eps1):
+    from dp3.asymptotics import du_small
+    path, pt = point_file
+    code, out, _ = run_cli(capsys, [
+        "integrate", "--point", path, "--tau0", "0.02", "--tau-end", "1", "--eps1", eps1,
+        "--eps", "1", "--b", "1"])
+    assert code == 0
+    first = [float(v) for v in out.splitlines()[1].split(",")]
+    sc = small_tau_chart(pt, int(eps1), EquationParams.make(1, 1.0))
+    u, du = u_small(sc, 0.02), du_small(sc, 0.02)
+    assert first[2:6] == [u.real, u.imag, du.real, du.imag]

@@ -3,6 +3,7 @@
 import cmath
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from dp3.asymptotics import large_tau_chart, u_large
 from dp3.connection import _z_distance, fit_large_tau, verify_connection
 from dp3.errors import ConditionViolationError
 from dp3.monodromy import MonodromyPoint, from_branch
-from dp3.ode import Trajectory, algebraic_solution
+from dp3.ode import Trajectory, algebraic_solution, integrate_ray
 from dp3.params import EquationParams
 
 P1 = EquationParams.make(1, 1.0)
@@ -183,6 +184,49 @@ def test_verify_connection_algebraic_point():
                             tau0_steps=1, tau1_steps=1, seed_state=seed)
     assert rep.oscillation_amplitude < 1e-6
     assert rep.fitted_z is None  # flagged special: no oscillation to fit
+
+
+def test_given_seed_is_integrated_once(monkeypatch):
+    # a seed_state is one ray, whatever tau0_steps says; its rows carry
+    # the |tau| that ray started from
+    from dp3 import connection
+
+    starts = []
+
+    def counting(seed, *args, **kw):
+        starts.append(abs(seed.tau))
+        return integrate_ray(seed, *args, **kw)
+
+    monkeypatch.setattr(connection, "integrate_ray", counting)
+    pt = from_branch(1, 0.0, g11=1, g12=0, g21=0, g22=1)
+    rep = verify_connection(pt, P1, tau0=0.02, tau1=100.0, tol=1e-11, tau0_steps=2,
+                            tau1_steps=1, seed_state=algebraic_solution(0.01, P1))
+    assert starts == [0.01]
+    assert [row["tau0"] for row in rep.convergence_table] == [0.01]
+
+
+def test_overflowing_step_counts_raise_before_integrating(fit_point, monkeypatch):
+    # 2**(steps - 1) overflows a float from steps = 1025 on
+    from dp3 import connection
+
+    def no_integration(*args, **kw):
+        raise AssertionError("integrate_ray must not run")
+
+    monkeypatch.setattr(connection, "integrate_ray", no_integration)
+    for name in ("tau0_steps", "tau1_steps"):
+        for steps in (1100, 2000):
+            with pytest.raises(ConditionViolationError, match=rf"{name} must be .*1024"):
+                verify_connection(fit_point, P1, **{name: steps})
+
+
+def test_small_chart_seed_written_once_in_source():
+    # the library and the CLI seed a ray through the same connection helper
+    from dp3 import connection
+
+    src = Path(connection.__file__).resolve().parent
+    hits = [p.name for p in sorted(src.glob("*.py")) for line in p.read_text().splitlines()
+            if "du_small(" in line and p.name != "asymptotics.py"]
+    assert hits == ["connection.py"]
 
 
 def test_verify_connection_small_seed_amplitude_scales_with_tau0():
@@ -372,9 +416,7 @@ def test_verify_connection_rejects_bad_arguments_before_integrating(fit_point, m
         raise AssertionError("integrate_ray must not run")
 
     monkeypatch.setattr(connection, "integrate_ray", no_integration)
-    bad = [({"window_factor": w}, "window_factor") for w in (0.0, -1.0, 1.0, math.nan, math.inf)]
-    bad += [({"fit_points": k}, "fit_points") for k in (-1, 0, 4, 5.5)]
-    bad += [({"tau0_steps": 1.5}, "tau0_steps")]
+    bad = [({"tau0_steps": 1.5}, "tau0_steps")]
     bad += [({"tau0": 500.0, "tau1": 400.0}, "tau0 or raise tau1")]
     bad += [({k: v}, "tau0 and tau1") for k in ("tau0", "tau1")
             for v in (math.nan, math.inf, -math.inf)]
