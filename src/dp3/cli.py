@@ -9,8 +9,9 @@ each argument on its own (finite numbers, counts, the tolerance range);
 the handlers check only what depends on several arguments or on a file.
 Set DP3_LOG=debug for tracebacks.
 
-Each command imports only the submodules it runs: ``monodromy map``,
-``chart`` and ``eval`` never load numpy or the integrator.
+Each command imports only the submodules it runs: ``monodromy check``,
+``map`` and ``sample``, ``chart`` and ``eval`` never load numpy or the
+integrator.
 """
 
 from __future__ import annotations
@@ -90,9 +91,9 @@ def _cmd_monodromy_check(args) -> int:
     from . import monodromy
 
     pt = _load_point(args.point)
-    res = monodromy.manifold_residual(pt)
+    res = monodromy._relation_residuals(pt)
     cyc, semi = monodromy.cyclic_residuals(pt)
-    _emit({"residuals": list(res), "max": float(res.max()),
+    _emit({"residuals": list(res), "max": max(res),
            "cyclic": cyc, "semicyclic": semi}, args)
     return 0
 

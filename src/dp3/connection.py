@@ -296,15 +296,19 @@ def verify_connection(pt: MonodromyPoint, params: EquationParams,
     Every fit window lies above the theta > 50 floor, so a smallest rung
     ``tau1 / 2**(tau1_steps - 1)`` below it raises
     ``ConditionViolationError`` before anything is integrated, as do a
-    non-finite ``tau0`` or ``tau1``, a largest seed |tau| above the
-    smallest window start, and ``tau0_steps`` or ``tau1_steps`` that is
-    not an integer in [1, 1024] (where 2**(steps - 1) is a finite float).
+    non-finite ``tau0`` or ``tau1``, a ``tau0`` that is not positive (unless
+    a ``seed_state`` is given), a largest seed |tau| above the smallest
+    window start, and ``tau0_steps`` or ``tau1_steps`` that is not an
+    integer in [1, 1024] (where 2**(steps - 1) is a finite float).
     """
     for name, count in (("tau0_steps", tau0_steps), ("tau1_steps", tau1_steps)):
         if not (isinstance(count, numbers.Integral) and 1 <= count <= 1024):
             raise ConditionViolationError(f"{name} must be an integer in [1, 1024]")
     if not (math.isfinite(tau0) and math.isfinite(tau1)):
         raise ConditionViolationError("tau0 and tau1 must be finite")
+    if seed_state is None and not tau0 > 0:
+        raise ConditionViolationError(
+            f"verify_connection: tau0 = {tau0!r} must be positive (the seed |tau|)")
     floor = _theta_floor(params)
     halvings = 2.0 ** (tau1_steps - 1)
     if tau1 / halvings < floor:
@@ -312,15 +316,16 @@ def verify_connection(pt: MonodromyPoint, params: EquationParams,
             f"the smallest fit window ends at tau1 / 2**(tau1_steps - 1) = {tau1 / halvings:.4g}, "
             f"below the theta > 50 floor |tau| = {floor:.4g}; with tau1_steps = {tau1_steps} "
             f"the smallest admissible tau1 is {floor * halvings:.1f}")
-    seeds = [seed_state] if seed_state is not None else [
-        _chart_seed(pt, params, tau0 * 2.0**k, eps1) for k in range(tau0_steps - 1, -1, -1)]
     tau1_list = [tau1 / 2.0**k for k in range(tau1_steps - 1, -1, -1)]
     grid = np.concatenate([np.linspace(max(t1 / 8.0, floor), t1, 240) for t1 in tau1_list])
-    seed_max = max(abs(seed.tau) for seed in seeds)
+    # the largest rung, checked before any chart seed is evaluated there
+    seed_max = abs(seed_state.tau) if seed_state is not None else tau0 * 2.0 ** (tau0_steps - 1)
     if seed_max > grid[0]:
         raise ConditionViolationError(
             f"the largest seed |tau| = {seed_max:.4g} lies above the smallest fit window "
             f"start |tau| = {grid[0]:.4g}; lower tau0 or raise tau1")
+    seeds = [seed_state] if seed_state is not None else [
+        _chart_seed(pt, params, tau0 * 2.0**k, eps1) for k in range(tau0_steps - 1, -1, -1)]
     lc = large_tau_chart(pt, eps1, params)
 
     table = []

@@ -65,17 +65,21 @@ def _finite(value) -> bool:
     return _finite(value.tolist())  # a numpy array or scalar
 
 
-def finite_result(fn, finite=_finite):
+def finite_result(fn, finite=_finite, name=None):
     """Make ``fn`` raise ``ConditionViolationError`` where its arithmetic
     fails (an overflow, a division by zero, a math domain error, a singular
-    matrix) or ``finite`` of its value is false."""
+    matrix) or ``finite`` of its value is false.  The message starts with
+    ``name``, by default ``fn``'s own: a private helper names the public
+    function it serves."""
+    name = name or fn.__name__
+
     @functools.wraps(fn)
     def checked(*args, **kwargs):
         try:
             value = fn(*args, **kwargs)
         except (ArithmeticError, ValueError) as exc:  # numpy's LinAlgError is a ValueError
-            raise ConditionViolationError(f"{fn.__name__}: {exc}") from exc
+            raise ConditionViolationError(f"{name}: {exc}") from exc
         if not finite(value):
-            raise ConditionViolationError(f"{fn.__name__}: the result is not finite")
+            raise ConditionViolationError(f"{name}: the result is not finite")
         return value
     return checked

@@ -24,6 +24,7 @@ from __future__ import annotations
 import cmath
 import functools
 import json
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -51,9 +52,10 @@ __all__ = [
     "point_from_json",
 ]
 
-# numpy is imported inside the functions that build arrays, and these
-# constant matrices are built on first access, so that the group actions
-# and the charts run without it.
+# The Stokes algebra runs on 2x2 tuples of rows, so that the residuals and
+# the group actions run without numpy.  numpy is imported only inside the
+# functions that return arrays, and the public constant matrices SIGMA1 and
+# SIGMA3 are built as arrays on first access.
 _CONSTANTS = {
     "SIGMA1": ((0.0, 1.0), (1.0, 0.0)),
     "SIGMA3": ((1.0, 0.0), (0.0, -1.0)),
@@ -62,39 +64,47 @@ _CONSTANTS = {
 _JSON_KEYS = ("a", "s00", "s0inf", "s1inf", "g11", "g12", "g21", "g22")
 
 
-def _constant(name: str) -> np.ndarray:
-    """``SIGMA1`` or ``SIGMA3`` as a complex 2x2 array, built once."""
-    value = globals().get(name)
-    if value is None:
+def __getattr__(name: str):
+    if name in _CONSTANTS:
         import numpy as np
 
         value = globals()[name] = np.array(_CONSTANTS[name], dtype=complex)
-    return value
-
-
-def __getattr__(name: str):
-    if name in _CONSTANTS:
-        return _constant(name)
+        return value
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _exp_sigma3(alpha: complex) -> np.ndarray:
+def _matmul(*factors: tuple) -> tuple:
+    """The product of 2x2 tuple matrices, left to right."""
+    (a, b), (c, d) = factors[0]
+    for (e, f), (g, h) in factors[1:]:
+        a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+    return (a, b), (c, d)
+
+
+def _inverse(m: tuple) -> tuple:
+    """The explicit inverse; a zero determinant raises ``ZeroDivisionError``."""
+    (a, b), (c, d) = m
+    det = a * d - b * c
+    return (d / det, -b / det), (-c / det, a / det)
+
+
+def _max_abs_diff(m: tuple, n: tuple) -> float:
+    """Entrywise max norm of ``m - n``; NaN if an entry is NaN."""
+    diffs = [abs(x - y) for row_m, row_n in zip(m, n) for x, y in zip(row_m, row_n)]
+    return math.nan if any(map(math.isnan, diffs)) else max(diffs)
+
+
+def _exp_sigma3(alpha: complex) -> tuple:
     """diag(e^alpha, e^-alpha)."""
-    import numpy as np
-
-    return np.array([[cmath.exp(alpha), 0.0], [0.0, cmath.exp(-alpha)]], dtype=complex)
+    return (cmath.exp(alpha), 0.0), (0.0, cmath.exp(-alpha))
 
 
-def _lower(s: complex) -> np.ndarray:
-    import numpy as np
-
-    return np.array([[1.0, 0.0], [s, 1.0]], dtype=complex)
+def _lower(s: complex) -> tuple:
+    return (1.0, 0.0), (s, 1.0)
 
 
-def _upper(s: complex) -> np.ndarray:
-    import numpy as np
-
-    return np.array([[1.0, s], [0.0, 1.0]], dtype=complex)
+def _upper(s: complex) -> tuple:
+    return (1.0, s), (0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -139,7 +149,6 @@ class StokesSet:
     m_inf: np.ndarray
 
 
-@errors.finite_result
 def manifold_residual(pt: MonodromyPoint) -> np.ndarray:
     """Absolute residuals of the five defining relations, in order:
     the multiplier product relation, the mixed G relation, the two
@@ -147,6 +156,12 @@ def manifold_residual(pt: MonodromyPoint) -> np.ndarray:
     non-finite residual raises ``ConditionViolationError``."""
     import numpy as np
 
+    return np.array(_relation_residuals(pt))
+
+
+@functools.partial(errors.finite_result, name="manifold_residual")
+def _relation_residuals(pt: MonodromyPoint) -> tuple[float, ...]:
+    """The five floats of ``manifold_residual``, without numpy."""
     a, s00, s0, s1 = pt.a, pt.s00, pt.s0inf, pt.s1inf
     g11, g12, g21, g22 = pt.g11, pt.g12, pt.g21, pt.g22
     epa = cmath.exp(cmath.pi * a)
@@ -158,7 +173,7 @@ def manifold_residual(pt: MonodromyPoint) -> np.ndarray:
         g22 * g22 - g12 * g12 + s00 * g12 * g22 - 1j * epa * s1,
         g11 * g22 - g12 * g21 - 1.0,
     )
-    return np.array([abs(r) for r in res], dtype=float)
+    return tuple(abs(r) for r in res)
 
 
 def from_branch(branch: int, a: complex, **free) -> MonodromyPoint:
@@ -237,31 +252,42 @@ def _stokes_mult_inf(pt: MonodromyPoint, k: int) -> complex:
     return pt.s1inf * epa ** (-(k - 1))
 
 
-def _stokes_inf(pt: MonodromyPoint, k: int) -> np.ndarray:
+def _stokes_inf(pt: MonodromyPoint, k: int) -> tuple:
     s = _stokes_mult_inf(pt, k)
     return _lower(s) if k % 2 == 0 else _upper(s)
 
 
-def _stokes_zero(pt: MonodromyPoint, k: int) -> np.ndarray:
+def _stokes_zero(pt: MonodromyPoint, k: int) -> tuple:
     # period 2 and sigma1-conjugation make every multiplier equal s00
     return _upper(pt.s00) if k % 2 == 0 else _lower(pt.s00)
+
+
+def _monodromy_matrices(pt: MonodromyPoint) -> tuple[tuple, tuple]:
+    """``M_0`` and ``M_inf``, built from the canonical factors."""
+    m_zero = _matmul(_stokes_zero(pt, 0), _stokes_zero(pt, 1))
+    m_inf = _matmul(*(_stokes_inf(pt, k) for k in range(4)),
+                    _exp_sigma3(-2.0 * cmath.pi * (pt.a - 0.5j)))
+    return m_zero, m_inf
 
 
 def stokes_structure(pt: MonodromyPoint, k_min: int = 0, k_max: int = 3) -> StokesSet:
     """Stokes matrices for indices ``k_min..k_max`` at infinity (the window
     at the origin is clipped to at most two indices, one full period) and
-    the monodromy matrices built from the canonical factors."""
-    s_inf = {k: _stokes_inf(pt, k) for k in range(k_min, k_max + 1)}
-    s_zero = {k: _stokes_zero(pt, k) for k in range(k_min, min(k_max, k_min + 1) + 1)}
-    m_zero = _stokes_zero(pt, 0) @ _stokes_zero(pt, 1)
-    m_inf = (
-        _stokes_inf(pt, 0)
-        @ _stokes_inf(pt, 1)
-        @ _stokes_inf(pt, 2)
-        @ _stokes_inf(pt, 3)
-        @ _exp_sigma3(-2.0 * cmath.pi * (pt.a - 0.5j))
+    the monodromy matrices built from the canonical factors, each a complex
+    2x2 array."""
+    import numpy as np
+
+    def array(m: tuple) -> np.ndarray:
+        return np.array(m, dtype=complex)
+
+    m_zero, m_inf = _monodromy_matrices(pt)
+    return StokesSet(
+        s_zero={k: array(_stokes_zero(pt, k))
+                for k in range(k_min, min(k_max, k_min + 1) + 1)},
+        s_inf={k: array(_stokes_inf(pt, k)) for k in range(k_min, k_max + 1)},
+        m_zero=array(m_zero),
+        m_inf=array(m_inf),
     )
-    return StokesSet(s_zero=s_zero, s_inf=s_inf, m_zero=m_zero, m_inf=m_inf)
 
 
 @errors.finite_result
@@ -271,21 +297,13 @@ def cyclic_residuals(pt: MonodromyPoint) -> tuple[float, float]:
     ``G^-1 S0_0 sigma1 G = S_inf_0 S_inf_1 sigma3 e^{-pi(a - i/2) sigma3}``.
     An overflow, a singular G or a non-finite residual raises
     ``ConditionViolationError``."""
-    import numpy as np
-
-    with np.errstate(all="ignore"):  # an overflow shows as a non-finite residual
-        ss = stokes_structure(pt)
-        G = pt.G
-        cyc = np.max(np.abs(G @ ss.m_inf - ss.m_zero @ G))
-        lhs = np.linalg.solve(G, _stokes_zero(pt, 0) @ _constant("SIGMA1") @ G)
-        rhs = (
-            _stokes_inf(pt, 0)
-            @ _stokes_inf(pt, 1)
-            @ _constant("SIGMA3")
-            @ _exp_sigma3(-cmath.pi * (pt.a - 0.5j))
-        )
-        semi = np.max(np.abs(lhs - rhs))
-    return float(cyc), float(semi)
+    G = (pt.g11, pt.g12), (pt.g21, pt.g22)
+    m_zero, m_inf = _monodromy_matrices(pt)
+    cyc = _max_abs_diff(_matmul(G, m_inf), _matmul(m_zero, G))
+    lhs = _matmul(_inverse(G), _stokes_zero(pt, 0), _CONSTANTS["SIGMA1"], G)
+    rhs = _matmul(_stokes_inf(pt, 0), _stokes_inf(pt, 1), _CONSTANTS["SIGMA3"],
+                  _exp_sigma3(-cmath.pi * (pt.a - 0.5j)))
+    return cyc, _max_abs_diff(lhs, rhs)
 
 
 def _shift(pt: MonodromyPoint, k: int) -> MonodromyPoint:

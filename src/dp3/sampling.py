@@ -1,5 +1,17 @@
 """Seeded random generation of manifold points via the branch systems,
-with rejection filtering on chart-relevant bounds."""
+with rejection filtering on chart-relevant bounds.
+
+The draws are numpy's ``default_rng(seed).uniform(lo, hi)`` stream, bit for
+bit, reproduced in pure Python so that ``dp3 monodromy sample`` runs
+without importing numpy, whose import is most of that command's start-up
+time.  That stream is the
+PCG64 generator (M. E. O'Neill, "PCG: A Family of Simple Fast
+Space-Efficient Statistically Good Algorithms for Random Number
+Generation", HMC-CS-2014-0905: a 128-bit LCG with XSL-RR output), seeded
+through numpy's ``SeedSequence`` (NEP 19), and each draw is
+``lo + (hi - lo) * (x >> 11) * 2**-53``.  Every seed therefore gives the
+points it gave when the sampler called numpy.
+"""
 
 from __future__ import annotations
 
@@ -8,14 +20,78 @@ import math
 import numbers
 import sys
 
-import numpy as np
-
 from .errors import ConditionViolationError, SamplingExhaustedError
 from .monodromy import MonodromyPoint, from_branch, rho_from
 
 __all__ = ["sample_manifold"]
 
 _MAX_HALF_WIDTH = 0.5 * sys.float_info.max  # of a uniform draw on [-w, w]
+
+_MASK32 = 0xFFFFFFFF
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seed_sequence_state(seed: int) -> list[int]:
+    """numpy's ``SeedSequence(seed).generate_state(4, np.uint64)``: the
+    seed's uint32 words (least significant first) hashed into a pool of
+    four, then drawn out as eight uint32 words read in little-endian
+    pairs."""
+    words = [seed & _MASK32]
+    while seed >> 32:
+        seed >>= 32
+        words.append(seed & _MASK32)
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * 0x931E8875 & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        value = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return value ^ value >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_const = 0x8B51F9DD
+    out = []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * 0x58F38DED & _MASK32
+        value = value * hash_const & _MASK32
+        out.append(value ^ value >> 16)
+    return [out[i] | out[i + 1] << 32 for i in range(0, 8, 2)]
+
+
+class _PCG64:
+    """The draws of ``numpy.random.default_rng(seed).uniform(lo, hi)`` for a
+    non-negative integer ``seed`` and float bounds with ``hi - lo`` finite
+    and non-negative."""
+
+    __slots__ = ("_state", "_inc")
+
+    def __init__(self, seed: int):
+        s0, s1, i0, i1 = _seed_sequence_state(int(seed))
+        self._inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128
+        # PCG's srandom: one step from state 0, add the seed state, one more step
+        self._state = ((self._inc + (s0 << 64 | s1)) * _PCG_MULT + self._inc) & _MASK128
+
+    def uniform(self, lo: float, hi: float) -> float:
+        state = self._state = (self._state * _PCG_MULT + self._inc) & _MASK128
+        rot = state >> 122
+        x = (state >> 64 ^ state) & _MASK64
+        x = (x >> rot | x << (64 - rot)) & _MASK64
+        return lo + (hi - lo) * ((x >> 11) * 2.0**-53)
 
 
 def _uniform_complex(rng, lo=-1.2, hi=1.2) -> complex:
@@ -51,12 +127,14 @@ def sample_manifold(seed: int, count: int, branch: int,
     for name, value in (("abs_a_max", abs_a_max), ("im_a_max", im_a_max), ("box", box)):
         if not (isinstance(value, numbers.Real) and 0 <= value <= _MAX_HALF_WIDTH):
             raise ConditionViolationError(f"{name} must lie in [0, {_MAX_HALF_WIDTH:.4g}]")
-    abs_a_max, im_a_max = abs(abs_a_max), abs(im_a_max)  # -0.0 -> 0.0
+    # -0.0 -> 0.0; the draws take float bounds, as numpy's did
+    abs_a_max, box = float(abs(abs_a_max)), float(box)
+    im_a_max = min(abs_a_max, float(abs(im_a_max)))
     for name, value in (("box", box), ("nu_max", nu_max), ("re_rho_max", re_rho_max),
                         ("max_entry", max_entry)):
         if value is not None and not (isinstance(value, numbers.Real) and 0 < value < math.inf):
             raise ConditionViolationError(f"{name} must be finite and positive")
-    rng = np.random.default_rng(seed)
+    rng = _PCG64(seed)
     out: list[MonodromyPoint] = []
     budget = max_attempts_per_point * max(count, 1)
     attempts = 0
@@ -66,8 +144,7 @@ def sample_manifold(seed: int, count: int, branch: int,
             raise SamplingExhaustedError(
                 f"collected {len(out)}/{count} points in {budget} attempts; "
                 "constraints too tight")
-        a = complex(rng.uniform(-abs_a_max, abs_a_max),
-                    rng.uniform(-min(abs_a_max, im_a_max), min(abs_a_max, im_a_max)))
+        a = complex(rng.uniform(-abs_a_max, abs_a_max), rng.uniform(-im_a_max, im_a_max))
         if abs(a) > abs_a_max:
             continue
         try:

@@ -219,6 +219,46 @@ def test_overflowing_step_counts_raise_before_integrating(fit_point, monkeypatch
                 verify_connection(fit_point, P1, **{name: steps})
 
 
+def test_tau0_rungs_are_checked_before_any_seed(fit_point, monkeypatch):
+    # a rung above the smallest fit window, or a tau0 <= 0, is named before
+    # the small chart is evaluated there (u_small used to fail on it)
+    from dp3 import connection
+
+    def must_not_run(*args, **kw):
+        raise AssertionError("no seed may be built and no ray integrated")
+
+    monkeypatch.setattr(connection, "integrate_ray", must_not_run)
+    monkeypatch.setattr(connection, "_chart_seed", must_not_run)
+    for steps in (12, 1000, 1024):
+        with pytest.raises(ConditionViolationError,
+                           match=r"largest seed \|tau\| = .* lies above the smallest fit window"):
+            verify_connection(fit_point, P1, tau0_steps=steps)
+    for tau0 in (0.0, -0.0, -0.02, -1e300):
+        with pytest.raises(ConditionViolationError,
+                           match=r"verify_connection: tau0 = .* must be positive"):
+            verify_connection(fit_point, P1, tau0=tau0)
+    for tau0 in (math.nan, math.inf):  # a given seed still needs a finite tau0
+        with pytest.raises(ConditionViolationError, match="tau0 and tau1 must be finite"):
+            verify_connection(fit_point, P1, tau0=tau0, seed_state=algebraic_solution(0.01, P1))
+
+
+def test_given_seed_ignores_the_sign_of_tau0(monkeypatch):
+    from dp3 import connection
+
+    starts = []
+
+    def record(seed, *args, **kw):
+        starts.append(seed.tau)
+        raise ConditionViolationError("stop after the first ray")
+
+    monkeypatch.setattr(connection, "integrate_ray", record)
+    pt = from_branch(1, 0.0, g11=1, g12=0, g21=0, g22=1)
+    seed = algebraic_solution(0.01, P1)
+    with pytest.raises(ConditionViolationError, match="stop after the first ray"):
+        verify_connection(pt, P1, tau0=-1.0, tau1=100.0, tau1_steps=1, seed_state=seed)
+    assert starts == [seed.tau]
+
+
 def test_small_chart_seed_written_once_in_source():
     # the library and the CLI seed a ray through the same connection helper
     from dp3 import connection

@@ -1,6 +1,7 @@
 """Lazy loading: ``import dp3`` loads no submodule, its exports resolve on
 first access, and the light CLI commands run without numpy."""
 
+import ast
 import importlib
 import json
 import subprocess
@@ -53,15 +54,43 @@ def test_import_dp3_loads_no_submodule_and_no_numpy():
     ["monodromy", "map", "--map", "F", "--eps1", "1"],
     ["chart", "large", "--eps", "1", "--b", "1"],
     ["eval", "u", "--regime", "small", "--tau", "0.01", "--eps", "1", "--b", "1"],
+    ["monodromy", "check"],
+    ["monodromy", "sample", "--seed", "3", "--count", "5", "--branch", "1", "--nu-max", "0.1"],
 ])
 def test_light_commands_leave_numpy_unloaded(argv):
-    pt = sample_manifold(seed=5, count=1, branch=1, nu_max=0.1)[0]
-    argv = argv + ["--point", point_to_json(pt)]
+    if argv[:2] != ["monodromy", "sample"]:
+        pt = sample_manifold(seed=5, count=1, branch=1, nu_max=0.1)[0]
+        argv = argv + ["--point", point_to_json(pt)]
     code = ("import contextlib, io, sys, dp3.cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    rc = dp3.cli.main({argv!r})\n"
             "print(rc, 'numpy' in sys.modules)")
     assert run_child(code) == "0 False"
+
+
+def module_level_imports(nodes):
+    """Modules imported by statements that run at import time: everything
+    but function bodies and ``if TYPE_CHECKING:`` blocks."""
+    for node in nodes:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+            continue
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield node.module or ""
+        yield from module_level_imports(
+            child for child in ast.iter_child_nodes(node) if isinstance(child, ast.stmt))
+
+
+@pytest.mark.parametrize("module", ["sampling", "monodromy"])
+def test_numpy_imported_only_inside_functions(module):
+    # the sampler and the residuals serve the numpy-free CLI commands
+    tree = ast.parse((SRC / "dp3" / f"{module}.py").read_text())
+    imported = list(module_level_imports(tree.body))
+    assert "errors" in imported  # the walk sees the module's own imports
+    assert not [m for m in imported if m.split(".")[0] == "numpy"]
 
 
 def test_all_lists_every_export_and_resolves_to_the_submodule_object():

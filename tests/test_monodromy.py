@@ -147,6 +147,58 @@ def test_cyclic_residuals(identity_point, manifold_sample):
         assert cyc < 1e-9  # the semi-cyclic relation implies the cyclic one
 
 
+def _numpy_cyclic_residuals(pt):
+    """The cyclic and semi-cyclic residuals as numpy matrix products, with
+    the ``np.linalg.solve`` of G: the formulas the tuple algebra replaced."""
+    def lower(s):
+        return np.array([[1, 0], [s, 1]], dtype=complex)
+
+    def upper(s):
+        return np.array([[1, s], [0, 1]], dtype=complex)
+
+    def exp_sigma3(alpha):
+        return np.diag([cmath.exp(alpha), cmath.exp(-alpha)])
+
+    epa = cmath.exp(math.pi * pt.a)
+    s_inf = [lower(pt.s0inf * epa**k) if k % 2 == 0 else upper(pt.s1inf * epa ** (1 - k))
+             for k in range(4)]
+    sigma1 = np.array([[0, 1], [1, 0]], dtype=complex)
+    G = pt.G
+    m_zero = upper(pt.s00) @ lower(pt.s00)
+    m_inf = s_inf[0] @ s_inf[1] @ s_inf[2] @ s_inf[3] @ exp_sigma3(-2 * math.pi * (pt.a - 0.5j))
+    lhs = np.linalg.solve(G, upper(pt.s00) @ sigma1 @ G)
+    rhs = s_inf[0] @ s_inf[1] @ SIGMA3 @ exp_sigma3(-math.pi * (pt.a - 0.5j))
+    return np.max(np.abs(G @ m_inf - m_zero @ G)), np.max(np.abs(lhs - rhs))
+
+
+def test_cyclic_residuals_agree_with_numpy_products(manifold_sample):
+    for pt in manifold_sample:
+        scale = max(abs(getattr(pt, k)) for k in FIELDS[1:])
+        got, ref = cyclic_residuals(pt), _numpy_cyclic_residuals(pt)
+        assert all(type(x) is float for x in got)
+        assert max(abs(x - y) for x, y in zip(got, ref)) <= 1e-14 * scale
+
+
+def test_stokes_structure_returns_complex_arrays(generic_point):
+    ss = stokes_structure(generic_point, -1, 2)
+    assert sorted(ss.s_inf) == [-1, 0, 1, 2] and sorted(ss.s_zero) == [-1, 0]
+    for mat in [*ss.s_inf.values(), *ss.s_zero.values(), ss.m_zero, ss.m_inf]:
+        assert isinstance(mat, np.ndarray)
+        assert mat.shape == (2, 2) and mat.dtype == complex
+
+
+def test_singular_G_raises(identity_point):
+    for g in ({"g11": 0j, "g12": 0j}, {"g11": 2 + 0j, "g12": 1 + 0j, "g21": 2 + 0j, "g22": 1 + 0j}):
+        with pytest.raises(ConditionViolationError, match="cyclic_residuals"):
+            cyclic_residuals(replace(identity_point, **g))
+
+
+def test_residual_errors_name_manifold_residual(identity_point):
+    # the CLI's check reports what the library call would
+    with pytest.raises(ConditionViolationError, match="^manifold_residual: "):
+        manifold_residual(replace(identity_point, a=300 + 0j))
+
+
 # ---------------------------------------------------------- group actions
 
 def test_F00_is_identity(manifold_sample):
