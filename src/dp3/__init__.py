@@ -3,9 +3,11 @@ data, asymptotic charts at both ends of real and imaginary rays, Backlund
 ladders with their lattice identities, and end-to-end connection
 verification by high-accuracy integration.
 
-The public names below resolve on first access (PEP 562): ``import dp3``
-loads no submodule, and ``dp3.u_small`` imports ``dp3.asymptotics`` (and
-what it needs) only when it is first read.
+``_EXPORTS`` is the one list of public names: each submodule's
+``__all__`` is its entry here, so a new public function is named once.
+The names resolve on first access (PEP 562): ``import dp3`` loads no
+submodule, and ``dp3.u_small`` imports ``dp3.asymptotics`` (and what it
+needs) only when it is first read.
 """
 
 import importlib
@@ -14,9 +16,10 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "asymptotics": (
-        "H_large", "H_small", "LargeTauChart", "SmallTauChart", "du_small",
-        "large_tau_chart", "cross_ray_residuals", "small_tau_chart",
-        "tau_function_asymptotic", "u_imag", "u_large", "u_small",
+        "H_large", "H_small", "LargeTauChart", "SmallTauChart", "cross_ray_residuals",
+        "du_imag", "du_small", "imag_chart", "large_tau_chart", "nu_plus_1_of",
+        "small_tau_chart", "tau_function_asymptotic", "theta_phase", "u_imag", "u_large",
+        "u_small",
     ),
     "backlund": ("LadderEntry", "backlund_step", "ladder", "lattice_residuals",
                  "lie_point_solution"),

@@ -17,30 +17,13 @@ from dataclasses import dataclass
 
 # the errors module, not its decorator: perfbench/tracer.py wraps the
 # functions bound in this namespace and looks each up in its own module
-from . import errors
+from . import _EXPORTS, errors
 from .errors import ConditionViolationError
 from .monodromy import MonodromyPoint, apply_F, lie_point_monodromy, rho_from
 from .params import EquationParams
 from .specfun import digamma, gamma
 
-__all__ = [
-    "LargeTauChart",
-    "SmallTauChart",
-    "large_tau_chart",
-    "u_large",
-    "H_large",
-    "small_tau_chart",
-    "u_small",
-    "du_small",
-    "H_small",
-    "tau_function_asymptotic",
-    "u_imag",
-    "du_imag",
-    "imag_chart",
-    "cross_ray_residuals",
-    "theta_phase",
-    "nu_plus_1_of",
-]
+__all__ = _EXPORTS["asymptotics"]
 
 _SQRT3 = math.sqrt(3.0)
 _LN_2_PLUS_SQRT3 = math.log(2.0 + _SQRT3)
@@ -342,6 +325,7 @@ def H_small(chart: SmallTauChart, tau_abs: float) -> complex:
         + (chart.a * (chart.a - s * 1j) + 0.25 + 8.0 * chart.rho**2) / (2.0 * tau)
 
 
+@errors.finite_result
 def tau_function_asymptotic(chart: SmallTauChart, tau_abs: float, const: complex = 1.0) -> complex:
     """Small-argument tau-function form; ``const`` is the undetermined
     overall factor."""
@@ -357,29 +341,22 @@ def tau_function_asymptotic(chart: SmallTauChart, tau_abs: float, const: complex
     return const * (tau**expo * F1)
 
 
-def _rotate_to_real_ray(pt: MonodromyPoint, eps1: int, params: EquationParams
-                        ) -> tuple[MonodromyPoint, EquationParams]:
-    """The quarter rotation sending the ray arg tau = pi eps1 / 2 to the
-    positive axis flips the coupling sign; this returns the rotated
-    monodromy point and the relabelled parameters.  For positive original
-    coupling both admissible sector labels of the rotated problem give
-    identical chart values; the +1 sector is used."""
-    if eps1 not in (1, -1):
-        raise ConditionViolationError("imaginary-ray charts need eps1 = +-1")
-    p = params.eps2 if params.eps2 != 0 else -1
-    rotated = lie_point_monodromy(pt, "rotate_tau", p=p, l=eps1)
-    new_eps2 = 0 if params.eps2 != 0 else -p
-    new_params = EquationParams(-params.eps, params.b, new_eps2)
-    return rotated, new_params
-
-
 def imag_chart(pt: MonodromyPoint, eps1: int, params: EquationParams,
                regime: str) -> LargeTauChart | SmallTauChart:
     """The real-axis chart of the rotated problem behind ``u_imag``: the
     value on the imaginary ray is ``i * eps1`` times this chart's
-    positive-ray evaluation at the same magnitude."""
+    positive-ray evaluation at the same magnitude.
+
+    The quarter rotation sending the ray arg tau = pi eps1 / 2 to the
+    positive axis flips the coupling sign and acts on the monodromy data.
+    For positive original coupling both admissible sector labels of the
+    rotated problem give identical chart values; the +1 sector is used."""
     _check_a(pt.a)
-    rotated, new_params = _rotate_to_real_ray(pt, eps1, params)
+    if eps1 not in (1, -1):
+        raise ConditionViolationError("imaginary-ray charts need eps1 = +-1")
+    p = params.eps2 if params.eps2 != 0 else -1
+    rotated = lie_point_monodromy(pt, "rotate_tau", p=p, l=eps1)
+    new_params = EquationParams(-params.eps, params.b, 0 if params.eps2 != 0 else -p)
     if regime == "large":
         return large_tau_chart(rotated, 0, new_params)
     if regime == "small":

@@ -12,20 +12,21 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+from . import _EXPORTS
 from .errors import ConditionViolationError, LadderBreakdownError, SingularityError
 from .ode import SolutionState, dp3_rhs
 from .params import EquationParams
 
-__all__ = [
-    "LadderEntry",
-    "backlund_step",
-    "ladder",
-    "lattice_residuals",
-    "lie_point_solution",
-]
+__all__ = _EXPORTS["backlund"]
 
 # evaluator signature: tau -> SolutionState on the seed's ray
 SeedEval = Callable[[complex], SolutionState]
+
+_SEED_TOL = 1e-6  # largest finite-difference residual of a checked seed
+# relative steps in |tau| of the seed check's and the toda identity's
+# second differences
+_SEED_H_REL = 2e-4
+_TODA_H_REL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -70,8 +71,7 @@ def backlund_step(state: SolutionState, a: complex, params: EquationParams,
 
 
 def ladder(seed: SolutionState, a0: complex, params: EquationParams, n_max: int,
-           seed_eval: SeedEval | None = None, check_seed: bool = True,
-           seed_tol: float = 1e-6) -> list[LadderEntry]:
+           seed_eval: SeedEval | None = None, check_seed: bool = True) -> list[LadderEntry]:
     """Rungs ``n = 0..n_max`` obtained by iterated up-steps from ``seed``.
 
     When ``seed_eval`` is given (a closed-form or numeric evaluator of the
@@ -84,18 +84,18 @@ def ladder(seed: SolutionState, a0: complex, params: EquationParams, n_max: int,
     if tau == 0:
         raise SingularityError("tau = 0 is a singular point of the equation")
     try:
-        return _climb(seed, a0, params, n_max, seed_eval if check_seed else None, seed_tol)
+        return _climb(seed, a0, params, n_max, seed_eval if check_seed else None)
     except (OverflowError, ZeroDivisionError) as exc:
         raise LadderBreakdownError(f"the ladder overflows at tau = {tau}: {exc}") from None
 
 
-def _climb(seed, a0, params, n_max, seed_eval, seed_tol) -> list[LadderEntry]:
+def _climb(seed, a0, params, n_max, seed_eval) -> list[LadderEntry]:
     tau = seed.tau
     if seed_eval is not None:
         res = _seed_residual(seed_eval, tau, a0, params)
-        if res > seed_tol:
+        if res > _SEED_TOL:
             raise ConditionViolationError(
-                f"seed residual {res:.3e} exceeds {seed_tol:.1e}; "
+                f"seed residual {res:.3e} exceeds {_SEED_TOL:.1e}; "
                 "the seed does not solve the equation at a = a0")
     states = [seed]
     state, a = seed, a0
@@ -118,11 +118,11 @@ def _climb(seed, a0, params, n_max, seed_eval, seed_tol) -> list[LadderEntry]:
 
 
 def _seed_residual(seed_eval: SeedEval, tau: complex, a: complex,
-                   params: EquationParams, h_rel: float = 2e-4) -> float:
+                   params: EquationParams) -> float:
     """Finite-difference equation residual of the evaluator at tau."""
     s = abs(tau)
     phase = tau / s
-    h = h_rel * s
+    h = _SEED_H_REL * s
     um = seed_eval(phase * (s - h)).u
     st = seed_eval(phase * s)
     up = seed_eval(phase * (s + h)).u
@@ -138,8 +138,8 @@ def _reladder(entries: list[LadderEntry], a0: complex, params: EquationParams,
 
 
 def lattice_residuals(entries: list[LadderEntry], which: str, a0: complex,
-                      params: EquationParams, seed_eval: SeedEval | None = None,
-                      h_rel: float = 1e-4) -> list[tuple[int, float]]:
+                      params: EquationParams, seed_eval: SeedEval | None = None
+                      ) -> list[tuple[int, float]]:
     """Per-rung absolute residuals of one of the lattice identities the
     ladder satisfies.
 
@@ -156,14 +156,14 @@ def lattice_residuals(entries: list[LadderEntry], which: str, a0: complex,
 
     Raises ``ConditionViolationError`` when a residual is not finite (for
     example at a tiny |tau|)."""
-    out = _lattice_residuals(entries, which, a0, params, seed_eval, h_rel)
+    out = _lattice_residuals(entries, which, a0, params, seed_eval)
     if not all(math.isfinite(r) for _, r in out):
         raise ConditionViolationError(
             f"{which} residuals are not finite at tau = {entries[0].state.tau}")
     return out
 
 
-def _lattice_residuals(entries, which, a0, params, seed_eval, h_rel):
+def _lattice_residuals(entries, which, a0, params, seed_eval):
     tau = entries[0].state.tau
     ieb = 1j * params.eps * params.b
     by_n = {e.n: e for e in entries}
@@ -177,7 +177,7 @@ def _lattice_residuals(entries, which, a0, params, seed_eval, h_rel):
             raise ConditionViolationError("toda residuals need a seed evaluator")
         s = abs(tau)
         phase = tau / s
-        h = h_rel * s
+        h = _TODA_H_REL * s
         minus = _reladder(entries, a0, params, seed_eval, phase * (s - h))
         plus = _reladder(entries, a0, params, seed_eval, phase * (s + h))
 

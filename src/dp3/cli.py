@@ -1,13 +1,14 @@
 """Command-line front end.
 
 Every command is a thin adapter over the library: identical numbers to
-direct calls.  Exit codes: 0 success, 2 validation problems, 3
-mathematical condition violations, 4 integration failures.  Every error,
-a malformed command line included, is emitted as one JSON object on
-stderr; ``--help`` prints usage on stdout and exits 0.  The parser checks
-each argument on its own (finite numbers, counts, the tolerance range);
-the handlers check only what depends on several arguments or on a file.
-Set DP3_LOG=debug for tracebacks.
+direct calls.  Exit codes: 0 success, 2 validation problems, 4
+integration failures, 3 every other ``DP3Error`` (a mathematical
+condition violation).  Every error, a malformed command line included,
+is emitted as one JSON object on stderr; ``--help`` prints usage on
+stdout and exits 0.  The parser checks each argument on its own (finite
+numbers, counts, the tolerance range); the handlers check only what
+depends on several arguments or on a file.  Set DP3_LOG=debug for
+tracebacks.
 
 Each command imports only the submodules it runs: ``monodromy check``,
 ``map`` and ``sample``, ``chart`` and ``eval`` never load numpy or the
@@ -25,22 +26,12 @@ import sys
 import traceback
 from typing import TYPE_CHECKING
 
-from .errors import (
-    ConditionViolationError,
-    IntegrationFailureError,
-    LadderBreakdownError,
-    PoleError,
-    SamplingExhaustedError,
-    SingularityError,
-)
+from .errors import ConditionViolationError, DP3Error, IntegrationFailureError
 from .params import EquationParams
 
 if TYPE_CHECKING:
     from .monodromy import MonodromyPoint
     from .ode import SolutionState
-
-_MATH_ERRORS = (ConditionViolationError, PoleError, SingularityError,
-                LadderBreakdownError, SamplingExhaustedError)
 
 
 def _cpx(v: complex) -> list[float]:
@@ -425,7 +416,7 @@ def main(argv: list[str] | None = None) -> int:
     except IntegrationFailureError as exc:
         _report_error("integration-failure", exc)
         return 4
-    except _MATH_ERRORS as exc:
+    except DP3Error as exc:  # every other error of the package
         _report_error("condition-violation", exc)
         return 3
     except OSError as exc:

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _EXPORTS
 from .asymptotics import (
     du_small,
     large_tau_chart,
@@ -28,7 +29,7 @@ from .monodromy import MonodromyPoint
 from .ode import SolutionState, Trajectory, integrate_ray
 from .params import EquationParams
 
-__all__ = ["LargeTauFit", "fit_large_tau", "verify_connection", "ConnectionReport"]
+__all__ = _EXPORTS["connection"]
 
 _TWO_PI = 2.0 * math.pi
 

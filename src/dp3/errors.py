@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto process exit codes: validation problems exit 2,
-mathematical condition violations exit 3, integration failures exit 4.
+The CLI maps these onto process exit codes: integration failures exit 4,
+every other error of this hierarchy exits 3 (validation problems of the
+command line exit 2).
 """
 
 from __future__ import annotations

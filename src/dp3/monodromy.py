@@ -30,27 +30,13 @@ from typing import TYPE_CHECKING
 
 # the errors module, not its decorator: perfbench/tracer.py wraps the
 # functions bound in this namespace and looks each up in its own module
-from . import errors
+from . import _EXPORTS, errors
 from .errors import ConditionViolationError
 
 if TYPE_CHECKING:
     import numpy as np
 
-__all__ = [
-    "MonodromyPoint",
-    "StokesSet",
-    "manifold_residual",
-    "from_branch",
-    "rho_from",
-    "stokes_structure",
-    "cyclic_residuals",
-    "apply_F",
-    "apply_Fhat",
-    "backlund_monodromy",
-    "lie_point_monodromy",
-    "point_to_json",
-    "point_from_json",
-]
+__all__ = _EXPORTS["monodromy"]
 
 # The Stokes algebra runs on 2x2 tuples of rows, so that the residuals and
 # the group actions run without numpy.  numpy is imported only inside the

@@ -2,7 +2,9 @@
 integration along rays with an in-house Dormand-Prince 8(5,3) (DOP853)
 stepper, Hamiltonian evaluation in all three coordinate systems, the
 canonical-variable and matrix-entry conversions, and finite-difference
-residual checks.
+residual checks.  The Hamiltonians and the conversions raise
+``ConditionViolationError`` where their arithmetic fails or their value
+is not finite.
 
 The equation itself is
 
@@ -42,26 +44,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# the errors module, not its decorator: perfbench/tracer.py wraps the
+# functions bound in this namespace and looks each up in its own module
+from . import _EXPORTS, errors
 from .errors import ConditionViolationError, IntegrationFailureError, SingularityError
 from .params import EquationParams
 
-__all__ = [
-    "SolutionState",
-    "Trajectory",
-    "HamiltonianSplit",
-    "dp3_rhs",
-    "integrate_ray",
-    "hamiltonian_u",
-    "hamiltonian_pq",
-    "hamiltonian_system_rhs",
-    "p_from_u",
-    "sigma_and_f",
-    "to_abcd",
-    "hamiltonian_abcd",
-    "residual_on_grid",
-    "algebraic_solution",
-    "trajectory_to_csv",
-]
+__all__ = _EXPORTS["ode"]
 
 _TOL_RANGE = (1e-13, 1e-6)
 
@@ -156,6 +145,7 @@ def _hamiltonian(tau, u, du, a: complex, params: EquationParams):
         + (tau / (4.0 * u * u)) * (du * du + params.b**2) + 4.0 * params.eps * u
 
 
+@errors.finite_result
 def hamiltonian_u(state: SolutionState, a: complex, params: EquationParams) -> complex:
     """Hamiltonian in terms of (tau, u, u'); the eps2 = +-1 sectors replace
     i/2 by (-1)**eps2 i/2 in the two a-dependent terms."""
@@ -164,6 +154,7 @@ def hamiltonian_u(state: SolutionState, a: complex, params: EquationParams) -> c
     return _hamiltonian(tau, u, du, a, params)
 
 
+@errors.finite_result
 def hamiltonian_pq(p: complex, q: complex, tau: complex, a: complex,
                    params: EquationParams, eps1_h: int = -1) -> complex:
     """Canonical-variables Hamiltonian H_{eps1_h}(p, q; tau).  The formal
@@ -174,6 +165,7 @@ def hamiltonian_pq(p: complex, q: complex, tau: complex, a: complex,
         + 4.0 * params.eps * q + 1j * params.b * p + k * k / (2.0 * tau)
 
 
+@errors.finite_result
 def hamiltonian_system_rhs(p: complex, q: complex, tau: complex, a: complex,
                            params: EquationParams, eps1_h: int = -1) -> tuple[complex, complex]:
     """Hamilton's equations: (dp/dtau, dq/dtau) = (-dH/dq, +dH/dp)."""
@@ -185,6 +177,7 @@ def hamiltonian_system_rhs(p: complex, q: complex, tau: complex, a: complex,
     return dp, dq
 
 
+@errors.finite_result
 def p_from_u(state: SolutionState, a: complex, params: EquationParams,
              eps1_h: int = -1) -> complex:
     """Conjugate momentum for q = u (same sector constant as the
@@ -195,6 +188,7 @@ def p_from_u(state: SolutionState, a: complex, params: EquationParams,
     return tau * (du - 1j * params.b) / (2.0 * u * u) + k * eps1_h / u
 
 
+@errors.finite_result
 def sigma_and_f(state: SolutionState, a: complex, params: EquationParams) -> tuple[complex, complex]:
     """(sigma, f) built on the eps1_h = -1 channel:
     f = p q / 2 and sigma = (p q - eps1 (a i + 1/2 - eps1/2))^2
@@ -214,6 +208,7 @@ def sigma_and_f(state: SolutionState, a: complex, params: EquationParams) -> tup
     return sigma, f
 
 
+@errors.finite_result
 def to_abcd(state: SolutionState, a: complex, params: EquationParams
             ) -> tuple[complex, complex, complex, complex]:
     """Matrix-entry functions (A, B, C, D) built from (u, u', phi);
@@ -233,6 +228,7 @@ def to_abcd(state: SolutionState, a: complex, params: EquationParams
     return A, B, C, D
 
 
+@errors.finite_result
 def hamiltonian_abcd(A: complex, B: complex, C: complex, D: complex, tau: complex,
                      a: complex, params: EquationParams,
                      sqrt_ab: complex | None = None) -> HamiltonianSplit:
@@ -266,7 +262,7 @@ def algebraic_solution(tau: complex, params: EquationParams,
     phi on the positive ray when requested).  Singular at tau = 0."""
     if tau == 0:
         raise SingularityError("tau = 0 is a singular point of the equation")
-    c = params.b_pow23 / (2.0 * params.eps)
+    c = params.coupling_pow23 / (2.0 * params.eps)
     t13 = _ray_cbrt(tau)
     u = c * t13
     du = c * t13 / (3.0 * tau)

@@ -5,9 +5,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import _EXPORTS
 from .errors import ConditionViolationError
 
-__all__ = ["EquationParams"]
+__all__ = _EXPORTS["params"]
 
 
 @dataclass(frozen=True)
@@ -58,17 +59,6 @@ class EquationParams:
         return 1 if self.eps2 == 0 else -1
 
     @property
-    def coupling_cbrt(self) -> float:
-        """(eps*b)^{1/3} with the real (negative for negative argument)
-        cube root."""
-        return math.copysign(abs(self.coupling) ** (1.0 / 3.0), self.coupling)
-
-    @property
     def coupling_pow23(self) -> float:
-        """(eps*b)^{2/3}: the square of the real cube root, always > 0."""
-        return self.coupling_cbrt**2
-
-    @property
-    def b_pow23(self) -> float:
-        """b^{2/3} with the same real-cube-root convention."""
-        return math.copysign(abs(self.b) ** (1.0 / 3.0), self.b) ** 2
+        """(eps*b)^{2/3} = b^{2/3}: the square of the real cube root, always > 0."""
+        return (self.abs_coupling ** (1.0 / 3.0)) ** 2

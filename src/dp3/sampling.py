@@ -20,10 +20,11 @@ import math
 import numbers
 import sys
 
+from . import _EXPORTS
 from .errors import ConditionViolationError, SamplingExhaustedError
 from .monodromy import MonodromyPoint, from_branch, rho_from
 
-__all__ = ["sample_manifold"]
+__all__ = _EXPORTS["sampling"]
 
 _MAX_HALF_WIDTH = 0.5 * sys.float_info.max  # of a uniform draw on [-w, w]
 
@@ -94,8 +95,8 @@ class _PCG64:
         return lo + (hi - lo) * ((x >> 11) * 2.0**-53)
 
 
-def _uniform_complex(rng, lo=-1.2, hi=1.2) -> complex:
-    return complex(rng.uniform(lo, hi), rng.uniform(lo, hi))
+def _uniform_complex(rng, box: float) -> complex:
+    return complex(rng.uniform(-box, box), rng.uniform(-box, box))
 
 
 def sample_manifold(seed: int, count: int, branch: int,
@@ -149,9 +150,9 @@ def sample_manifold(seed: int, count: int, branch: int,
             continue
         try:
             if branch == 1:
-                g11 = _uniform_complex(rng, -box, box)
-                g12 = _uniform_complex(rng, -box, box)
-                g21 = _uniform_complex(rng, -box, box)
+                g11 = _uniform_complex(rng, box)
+                g12 = _uniform_complex(rng, box)
+                g21 = _uniform_complex(rng, box)
                 if abs(g11) < 0.25:
                     continue
                 g22 = (1.0 + g12 * g21) / g11
@@ -159,8 +160,8 @@ def sample_manifold(seed: int, count: int, branch: int,
                     continue
                 pt = from_branch(1, a, g11=g11, g12=g12, g21=g21, g22=g22)
             else:
-                s00 = _uniform_complex(rng, -box, box)
-                gfree = _uniform_complex(rng, -box, box)
+                s00 = _uniform_complex(rng, box)
+                gfree = _uniform_complex(rng, box)
                 if abs(gfree) < 0.25:
                     continue
                 key = "g22" if branch == 2 else "g11"

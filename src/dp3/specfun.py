@@ -13,9 +13,10 @@ from __future__ import annotations
 import cmath
 import math
 
+from . import _EXPORTS
 from .errors import PoleError
 
-__all__ = ["ln_gamma", "gamma", "digamma"]
+__all__ = _EXPORTS["specfun"]
 
 # Lanczos coefficients for g = 607/128, N = 15, recovered by collocation of
 # Gamma(z) e^t t^{-(z-1/2)} / sqrt(2 pi), t = z + g - 1/2, at z = 1..15 in

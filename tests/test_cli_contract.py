@@ -1,5 +1,6 @@
 """CLI contract: a malformed command line is a validation error like any
-other (exit 2, nothing on stdout, one JSON line on stderr), ``--help``
+other (exit 2, nothing on stdout, one JSON line on stderr), every
+``DP3Error`` but an integration failure exits 3 the same way, ``--help``
 still prints usage and exits 0, and ``--output`` writes the bytes that the
 same command prints to stdout."""
 
@@ -8,6 +9,7 @@ import json
 import pytest
 
 from dp3 import cli
+from dp3.errors import DP3Error
 from dp3.monodromy import point_to_json
 from dp3.sampling import sample_manifold
 
@@ -38,6 +40,25 @@ def test_malformed_command_line_is_one_json_line(argv, capsys):
     payload = json.loads(lines[0])
     assert payload["error"] == "validation"
     assert set(payload) == {"error", "type", "message"}
+
+
+class _UnlistedError(DP3Error):
+    """A package error that no exit-code table names."""
+
+
+@pytest.mark.parametrize("error", [DP3Error, _UnlistedError])
+def test_every_package_error_exits_3_as_one_json_line(error, capsys, monkeypatch):
+    def handler(args):
+        raise error("raised by the handler")
+
+    monkeypatch.setattr(cli, "_cmd_monodromy_sample", handler)
+    code = cli.main(["monodromy", "sample", "--seed", "1", "--count", "1", "--branch", "1"])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": "condition-violation", "type": error.__name__,
+                                    "message": "raised by the handler"}
 
 
 @pytest.mark.parametrize("command", [

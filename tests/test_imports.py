@@ -18,8 +18,9 @@ SRC = Path(dp3.__file__).resolve().parents[1]
 
 EXPORTS = {
     "asymptotics": ["H_large", "H_small", "LargeTauChart", "SmallTauChart", "cross_ray_residuals",
-                    "du_small", "large_tau_chart", "small_tau_chart", "tau_function_asymptotic",
-                    "u_imag", "u_large", "u_small"],
+                    "du_imag", "du_small", "imag_chart", "large_tau_chart", "nu_plus_1_of",
+                    "small_tau_chart", "tau_function_asymptotic", "theta_phase", "u_imag",
+                    "u_large", "u_small"],
     "backlund": ["LadderEntry", "backlund_step", "ladder", "lattice_residuals",
                  "lie_point_solution"],
     "connection": ["ConnectionReport", "LargeTauFit", "fit_large_tau", "verify_connection"],
@@ -95,7 +96,7 @@ def test_numpy_imported_only_inside_functions(module):
 
 def test_all_lists_every_export_and_resolves_to_the_submodule_object():
     expected = sorted(name for names in EXPORTS.values() for name in names)
-    assert len(expected) == 61
+    assert len(expected) == 65
     assert sorted(dp3.__all__) == expected
     for module, names in EXPORTS.items():
         sub = importlib.import_module(f"dp3.{module}")
@@ -104,13 +105,19 @@ def test_all_lists_every_export_and_resolves_to_the_submodule_object():
     assert set(dp3.__all__) <= set(dir(dp3))
 
 
+@pytest.mark.parametrize("module", ["asymptotics", "backlund", "connection", "monodromy", "ode",
+                                    "params", "sampling", "specfun"])
+def test_submodule_all_is_the_package_table_entry(module):
+    assert importlib.import_module(f"dp3.{module}").__all__ == dp3._EXPORTS[module]
+
+
 def test_star_import_and_submodule_access_resolve_lazily():
     code = ("import sys, json, dp3\n"
             "ns = {}\n"
             "exec('from dp3 import *', ns)\n"
             "print(json.dumps([len([k for k in ns if not k.startswith('__')]),"
             " dp3.ode.__name__, 'dp3.cli' in sys.modules]))")
-    assert json.loads(run_child(code)) == [61, "dp3.ode", False]
+    assert json.loads(run_child(code)) == [65, "dp3.ode", False]
 
 
 def test_unknown_name_raises_attribute_error():

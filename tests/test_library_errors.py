@@ -1,14 +1,16 @@
-"""Property over the library entry points: on any point of eight finite
+"""Properties over the library entry points: on any point of eight finite
 complex coordinates (off the manifold, zero or huge), the charts, their
 evaluators, the group actions, the manifold and cyclic residuals, the
 imaginary-ray values, the cross-ray residuals and ``rho_from`` return
-finite values or raise a ``DP3Error``.
+finite values or raise a ``DP3Error``; so do the Hamiltonian family and
+the conversions on any finite state or (p, q), and the tau-function form
+on any small-argument chart.
 """
 
 import cmath
 
 import numpy as np
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from dp3.asymptotics import (
@@ -18,6 +20,7 @@ from dp3.asymptotics import (
     du_small,
     large_tau_chart,
     small_tau_chart,
+    tau_function_asymptotic,
     u_imag,
     u_large,
     u_small,
@@ -28,9 +31,20 @@ from dp3.monodromy import (
     apply_F,
     apply_Fhat,
     cyclic_residuals,
+    from_branch,
     lie_point_monodromy,
     manifold_residual,
     rho_from,
+)
+from dp3.ode import (
+    SolutionState,
+    hamiltonian_abcd,
+    hamiltonian_pq,
+    hamiltonian_system_rhs,
+    hamiltonian_u,
+    p_from_u,
+    sigma_and_f,
+    to_abcd,
 )
 from dp3.params import EquationParams
 
@@ -47,6 +61,7 @@ KIND = st.sampled_from(("negate_tau", "negate_a", "rotate_tau"))
 REGIME = st.sampled_from(("large", "small"))
 TAU = st.one_of(st.sampled_from((1e-300, 1e-3, 0.5, 1.0, 50.0, 1e6, 1e300)),
                 st.floats(min_value=1e-300, max_value=1e300))
+STATE = st.builds(SolutionState, COORD, COORD, COORD, st.one_of(st.none(), COORD))
 
 
 def finite(value) -> bool:
@@ -93,3 +108,34 @@ def test_entry_points_return_finite_values_or_raise_typed_errors(
     if small is not None:
         for fn in (u_small, du_small, H_small):
             call(fn, small, tau)
+
+
+def _branch1(a: complex) -> MonodromyPoint:
+    g11, g12, g21 = 1.05, 0.21 + 0.1j, -0.15 + 0.05j
+    return from_branch(1, a, g11=g11, g12=g12, g21=g21, g22=(1.0 + g12 * g21) / g11)
+
+
+# the u*u underflow of the Hamiltonian family, hamiltonian_pq's NaN, and
+# the tau-function's NaN and overflows at the ends of the magnitude range
+@example(SolutionState(1.0, 1e-200, 1.0), 1e200, 1e200, 1e-300, 0.0, 0.3,
+         EquationParams.make(1, 1.0), _branch1(0.9 + 0.5j), 1e300, 1.0)
+@example(SolutionState(1.0, 1.0, 1.0), 1.0, 1.0, 1.0, 1.0, 0.0,
+         EquationParams.make(1, 1.0), _branch1(2.5 + 0.9j), 1e300, 1.0)
+@example(SolutionState(1.0, 1.0, 1.0), 1.0, 1.0, 1.0, 1.0, 0.0,
+         EquationParams.make(1, 1.0), _branch1(-3.0 + 0.5j), 1e-300, 1.0)
+@settings(max_examples=200, deadline=None,
+          phases=[p for p in Phase if p is not Phase.explain])
+@given(STATE, COORD, COORD, COORD, COORD, COORD, PARAMS, POINT, TAU, COORD)
+def test_state_functions_return_finite_values_or_raise_typed_errors(
+        state, p, q, tau, sqrt_ab, a, params, pt, tau_abs, const):
+    for fn in (hamiltonian_u, p_from_u, sigma_and_f):
+        call(fn, state, a, params)
+    abcd = call(to_abcd, state, a, params)
+    if abcd is not None:
+        call(hamiltonian_abcd, *abcd, state.tau, a, params)
+        call(hamiltonian_abcd, *abcd, state.tau, a, params, sqrt_ab)
+    call(hamiltonian_pq, p, q, tau, a, params)
+    call(hamiltonian_system_rhs, p, q, tau, a, params)
+    small = call(small_tau_chart, pt, 0, params)
+    if small is not None:
+        call(tau_function_asymptotic, small, tau_abs, const)
