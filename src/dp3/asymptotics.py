@@ -31,11 +31,17 @@ _EULER_PSI1 = -0.5772156649015328606
 _ZERO_TOL = 1e-12
 
 
+def _theta(params: EquationParams, m):
+    """theta at a magnitude m, a float or an array, unchecked."""
+    return 3.0 * _SQRT3 * params.abs_coupling ** (1.0 / 3.0) * m ** (2.0 / 3.0)
+
+
 def theta_phase(params: EquationParams, tau_abs: float) -> float:
-    """theta(tau) = 3 sqrt(3) |eps b|^{1/3} |tau|^{2/3}."""
-    return 3.0 * _SQRT3 * params.abs_coupling ** (1.0 / 3.0) * tau_abs ** (2.0 / 3.0)
+    """theta(tau) = 3 sqrt(3) |eps b|^{1/3} |tau|^{2/3}, |tau| > 0 finite."""
+    return _theta(params, _magnitude(tau_abs))
 
 
+@errors.finite_result
 def nu_plus_1_of(g11: complex, g22: complex) -> complex:
     """Index of the large-argument chart, (i / 2 pi) ln(g11 g22)."""
     return 0.5j / math.pi * cmath.log(g11 * g22)
@@ -147,7 +153,7 @@ def large_tau_chart(pt: MonodromyPoint, eps1: int, params: EquationParams) -> La
 def _special_oscillation(chart: LargeTauChart, m: float) -> complex:
     """Oscillatory term of the degenerate (triangular-G) charts."""
     P = chart.params
-    theta = theta_phase(P, m)
+    theta = _theta(P, m)
     coeff = ((-1.0) ** (chart.eps1 % 2)) * P.eps * math.sqrt(P.abs_coupling) \
         * (chart.s00 - 1j * cmath.exp(-P.sign2 * math.pi * chart.a)) \
         / (2.0 ** 1.5 * 3.0 ** 0.25 * math.sqrt(math.pi))
@@ -172,7 +178,7 @@ def u_large(chart: LargeTauChart, tau_abs: float) -> complex:
         raise ConditionViolationError(
             "degenerate chart: nu + 1 = 0 with nontrivial off-diagonal entries; "
             "use the triangular special charts")
-    theta = theta_phase(P, m)
+    theta = _theta(P, m)
     return ((-1.0) ** (chart.eps1 % 2)) * P.eps * math.sqrt(P.abs_coupling) / 3.0 ** 0.25 \
         * (cmath.sqrt(theta / 12.0) + cmath.sqrt(chart.nu_plus_1) * cmath.exp(0.75j * math.pi)
            * cmath.cosh(1j * theta + chart.nu_plus_1 * cmath.log(theta) + chart.z))
@@ -192,12 +198,14 @@ def H_large(chart: LargeTauChart, tau_abs: float) -> complex:
         + ash * ash / (2.0 * tau)
 
 
-def _p_factor(params: EquationParams, z1: complex, z2: complex) -> complex:
-    """The gamma-ratio coefficient of the small-argument expansion."""
+def _p_factors(params: EquationParams, z2: complex, z1s: tuple) -> list[complex]:
+    """The small-argument expansion's gamma-ratio coefficients p(z1, z2),
+    one per z1 in ``z1s``."""
     base = cmath.log(params.abs_coupling / 32.0) + 0.5j * math.pi
     ratio = gamma(0.5 - z2) / gamma(1.0 + z2)
-    return cmath.exp(z2 * base) * ratio * ratio \
-        * gamma(1.0 + z2 + 0.5j * z1) / cmath.tan(math.pi * z2)
+    w = cmath.exp(z2 * base) * ratio * ratio
+    t = cmath.tan(math.pi * z2)
+    return [w * gamma(1.0 + z2 + 0.5j * z1) / t for z1 in z1s]
 
 
 def _chi(ga: complex, gb: complex, z: complex) -> complex:
@@ -243,12 +251,12 @@ def small_tau_chart(pt: MonodromyPoint, eps1: int, params: EquationParams) -> Sm
         raise ConditionViolationError("rho = 0 but s00 != 2i: inconsistent point")
     if rho.real >= 0.5 - _ZERO_TOL:
         raise ConditionViolationError("|Re rho| = 1/2: on the boundary of the chart")
+    # p at z1 = s a, q at z1 = -s a, each at z2 = +-rho
+    p_plus, q_plus = _p_factors(params, rho, (s * a, -s * a))
+    p_minus, q_minus = _p_factors(params, -rho, (s * a, -s * a))
     return SmallTauChart(
         params, eps1, a, rho, False,
-        p_plus=_p_factor(params, s * a, rho),
-        p_minus=_p_factor(params, s * a, -rho),
-        q_plus=_p_factor(params, -s * a, rho),
-        q_minus=_p_factor(params, -s * a, -rho),
+        p_plus=p_plus, p_minus=p_minus, q_plus=q_plus, q_minus=q_minus,
         chi1_plus=_chi(g11, g21, rho),
         chi1_minus=_chi(g11, g21, -rho),
         chi2_plus=_chi(g12, g22, rho),

@@ -53,18 +53,17 @@ def backlund_step(state: SolutionState, a: complex, params: EquationParams,
     if u == 0:
         raise SingularityError("Backlund step undefined at u = 0")
     _, ddu = dp3_rhs(state, a, params)
-    ib = 1j * params.b
-    pref = -1j * params.eps * params.b / 8.0
+    # down is up with u', tau u'' and the 1 of 2ai + 1 negated (x - y == x + (-y))
     if direction == "up":
-        N = tau * (-du + ib) + (2.0 * a * 1j + 1.0) * u
-        dN = (-du + ib) - tau * ddu + (2.0 * a * 1j + 1.0) * du
-        a_new = a - 1j
+        du_s, tau_ddu, k, a_new = -du, -(tau * ddu), 2.0 * a * 1j + 1.0, a - 1j
     elif direction == "down":
-        N = tau * (du + ib) + (2.0 * a * 1j - 1.0) * u
-        dN = (du + ib) + tau * ddu + (2.0 * a * 1j - 1.0) * du
-        a_new = a + 1j
+        du_s, tau_ddu, k, a_new = du, tau * ddu, 2.0 * a * 1j - 1.0, a + 1j
     else:
         raise ConditionViolationError("direction must be 'up' or 'down'")
+    c = du_s + 1j * params.b
+    N = tau * c + k * u
+    dN = c + tau_ddu + k * du
+    pref = -1j * params.eps * params.b / 8.0
     u1 = pref * N / (u * u)
     du1 = pref * (dN - 2.0 * N * du / u) / (u * u)
     return SolutionState(tau=tau, u=u1, du=du1), a_new

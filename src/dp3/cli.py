@@ -23,7 +23,6 @@ import json
 import math
 import os
 import sys
-import traceback
 from typing import TYPE_CHECKING
 
 from .errors import ConditionViolationError, DP3Error, IntegrationFailureError
@@ -428,6 +427,8 @@ def _report_error(kind: str, exc: Exception) -> None:
     payload = {"error": kind, "type": type(exc).__name__, "message": str(exc)}
     print(json.dumps(payload), file=sys.stderr)
     if os.environ.get("DP3_LOG", "").lower() == "debug":
+        import traceback
+
         traceback.print_exc()
 
 

@@ -17,13 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _EXPORTS
-from .asymptotics import (
-    du_small,
-    large_tau_chart,
-    small_tau_chart,
-    theta_phase,
-    u_small,
-)
+from .asymptotics import _theta, du_small, large_tau_chart, small_tau_chart, u_small
 from .errors import ConditionViolationError
 from .monodromy import MonodromyPoint
 from .ode import SolutionState, Trajectory, integrate_ray
@@ -76,7 +70,7 @@ def fit_large_tau(traj: Trajectory, params: EquationParams,
     if eps1 is None:
         ph = traj.tau[0] / m[0]
         eps1 = int(round(cmath.phase(ph) / math.pi))
-    theta = theta_phase(params, m)
+    theta = _theta(params, m)
     if theta.min() < 50.0:
         raise ConditionViolationError(
             f"fit window starts at |tau| = {m.min():.4g} (theta = {theta.min():.1f} < 50); "
@@ -355,5 +349,6 @@ def verify_connection(pt: MonodromyPoint, params: EquationParams,
 
 
 def _theta_floor(params: EquationParams) -> float:
-    """Smallest |tau| with theta(|tau|) > 50 (fit-window precondition)."""
-    return (50.0 / (3.0 * math.sqrt(3.0) * params.abs_coupling ** (1.0 / 3.0))) ** 1.5 * 1.02
+    """Smallest |tau| with theta(|tau|) > 50 (fit-window precondition),
+    from theta at |tau| = 1, where 1.0 ** (2/3) is exactly 1."""
+    return (50.0 / _theta(params, 1.0)) ** 1.5 * 1.02

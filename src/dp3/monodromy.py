@@ -385,18 +385,15 @@ def apply_Fhat(pt: MonodromyPoint, eps1: int, eps2: int) -> MonodromyPoint:
 
 def backlund_monodromy(pt: MonodromyPoint, direction: str) -> MonodromyPoint:
     """Monodromy shadow of the Backlund transformation: ``up`` shifts
-    ``a -> a - i``, ``down`` is its exact inverse."""
-    if direction == "up":
-        return MonodromyPoint(
-            pt.a - 1j, -pt.s00, pt.s0inf, pt.s1inf,
-            1j * pt.g11, 1j * pt.g12, -1j * pt.g21, -1j * pt.g22,
-        )
-    if direction == "down":
-        return MonodromyPoint(
-            pt.a + 1j, -pt.s00, pt.s0inf, pt.s1inf,
-            -1j * pt.g11, -1j * pt.g12, 1j * pt.g21, 1j * pt.g22,
-        )
-    raise ConditionViolationError("direction must be 'up' or 'down'")
+    ``a -> a - i``, ``down`` is its exact inverse: the same map with ``-i``
+    for ``i`` (``a - (-i)`` and ``a + i`` are the same float)."""
+    if direction not in ("up", "down"):
+        raise ConditionViolationError("direction must be 'up' or 'down'")
+    i = 1j if direction == "up" else -1j
+    return MonodromyPoint(
+        pt.a - i, -pt.s00, pt.s0inf, pt.s1inf,
+        i * pt.g11, i * pt.g12, -i * pt.g21, -i * pt.g22,
+    )
 
 
 @_finite_action

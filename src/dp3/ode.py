@@ -103,11 +103,12 @@ class Trajectory:
         ]
 
 
-def _check_state(tau: complex, u: complex):
-    if u == 0:
+def _check_state(state: SolutionState) -> tuple[complex, complex, complex]:
+    if state.u == 0:
         raise SingularityError("u = 0 is a singular point of the equation")
-    if tau == 0:
+    if state.tau == 0:
         raise SingularityError("tau = 0 is a singular point of the equation")
+    return state.tau, state.u, state.du
 
 
 # The equation's right-hand side: u'' in terms of tau, u, du and the per-ray
@@ -132,8 +133,7 @@ def _ddu(tau, u, du, a: complex, params: EquationParams):
 
 def dp3_rhs(state: SolutionState, a: complex, params: EquationParams) -> tuple[complex, complex]:
     """(u', u'') at the given state."""
-    tau, u, du = state.tau, state.u, state.du
-    _check_state(tau, u)
+    tau, u, du = _check_state(state)
     return du, _ddu(tau, u, du, a, params)
 
 
@@ -149,8 +149,7 @@ def _hamiltonian(tau, u, du, a: complex, params: EquationParams):
 def hamiltonian_u(state: SolutionState, a: complex, params: EquationParams) -> complex:
     """Hamiltonian in terms of (tau, u, u'); the eps2 = +-1 sectors replace
     i/2 by (-1)**eps2 i/2 in the two a-dependent terms."""
-    tau, u, du = state.tau, state.u, state.du
-    _check_state(tau, u)
+    tau, u, du = _check_state(state)
     return _hamiltonian(tau, u, du, a, params)
 
 
@@ -182,8 +181,7 @@ def p_from_u(state: SolutionState, a: complex, params: EquationParams,
              eps1_h: int = -1) -> complex:
     """Conjugate momentum for q = u (same sector constant as the
     Hamiltonian channel)."""
-    tau, u, du = state.tau, state.u, state.du
-    _check_state(tau, u)
+    tau, u, du = _check_state(state)
     k = a * 1j + 0.5 * params.sign2
     return tau * (du - 1j * params.b) / (2.0 * u * u) + k * eps1_h / u
 
@@ -198,8 +196,7 @@ def sigma_and_f(state: SolutionState, a: complex, params: EquationParams) -> tup
     the coupling's argument), so the plain constant ``ai + 1/2`` is used
     regardless of eps2."""
     eps1_h = -1
-    tau, u, du = state.tau, state.u, state.du
-    _check_state(tau, u)
+    tau, u, du = _check_state(state)
     p = tau * (du - 1j * params.b) / (2.0 * u * u) + (a * 1j + 0.5) * eps1_h / u
     q = u
     f = p * q / 2.0
@@ -215,9 +212,8 @@ def to_abcd(state: SolutionState, a: complex, params: EquationParams
     A' and B' are expanded through u' and phi' = 2a/tau + b/u."""
     if state.phi is None:
         raise ConditionViolationError("to_abcd requires a state with phi")
-    tau, u, du, phi = state.tau, state.u, state.du, state.phi
-    _check_state(tau, u)
-    eiphi = cmath.exp(1j * phi)
+    tau, u, du = _check_state(state)
+    eiphi = cmath.exp(1j * state.phi)
     dphi = 2.0 * a / tau + params.b / u
     A = (u / tau) * eiphi
     B = -(u / tau) / eiphi

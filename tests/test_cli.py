@@ -434,3 +434,76 @@ def test_integrate_point_seed_is_the_small_chart(point_file, capsys, eps1):
     sc = small_tau_chart(pt, int(eps1), EquationParams.make(1, 1.0))
     u, du = u_small(sc, 0.02), du_small(sc, 0.02)
     assert first[2:6] == [u.real, u.imag, du.real, du.imag]
+
+
+# ---------------------------------------- paths the suite's other cases miss
+
+@pytest.mark.parametrize("eps1", ["1", "-1"])
+def test_eval_imaginary_matches_library(point_file, capsys, eps1):
+    from dp3.asymptotics import u_imag
+    path, pt = point_file
+    argv = ["--regime", "small", "--tau", "0.01", "--imaginary", "--eps1", eps1,
+            "--point", path, "--eps", "1", "--b", "1"]
+    code, out, _ = run_cli(capsys, ["eval", "u", *argv])
+    assert code == 0
+    val = u_imag(pt, int(eps1), EquationParams.make(1, 1.0), 0.01, "small")
+    assert json.loads(out) == [val.real, val.imag]
+    code, out, err = run_cli(capsys, ["eval", "H", *argv])
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    _assert_json_error(err, "validation")
+
+
+def test_ladder_and_lattice_from_given_seed_match_library(capsys):
+    from dp3.backlund import lattice_residuals, ladder
+    from dp3.ode import SolutionState
+    params = EquationParams.make(1, 1.0)
+    seed_args = ["--tau", "1.5", "--n-max", "4", "--u0", "0.4,0.1", "--du0=-0.2,0.3",
+                 "--a0", "0.1,0.05", "--eps", "1", "--b", "1"]
+    entries = ladder(SolutionState(1.5, 0.4 + 0.1j, -0.2 + 0.3j), 0.1 + 0.05j, params, 4)
+    code, out, _ = run_cli(capsys, ["ladder", *seed_args])
+    assert code == 0
+    rungs = json.loads(out)
+    assert [r["n"] for r in rungs] == [e.n for e in entries]
+    for r, e in zip(rungs, entries):
+        assert r["a_n"] == [e.a_n.real, e.a_n.imag]
+        assert r["u"] == [e.state.u.real, e.state.u.imag]
+        assert r["du"] == [e.state.du.real, e.state.du.imag]
+    for which in ("km", "dp", "f_rec"):
+        code, out, _ = run_cli(capsys, ["lattice", "--which", which, *seed_args])
+        assert code == 0
+        expected = lattice_residuals(entries, which, 0.1 + 0.05j, params)
+        assert json.loads(out) == [{"n": n, "residual": r} for n, r in expected]
+    code, out, err = run_cli(capsys, ["ladder", "--tau", "1.5", "--n-max", "4", "--a0", "0.1",
+                                      "--algebraic-seed", "--eps", "1", "--b", "1"])
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    _assert_json_error(err, "validation")
+
+
+def test_chart_small_log_branch_matches_library(tmp_path, capsys):
+    from dp3.monodromy import from_branch
+    pt = from_branch(1, 0.5j, g11=1.0, g12=2j - 1.0, g21=0.0, g22=1.0)
+    path = tmp_path / "log.json"
+    path.write_text(point_to_json(pt))
+    code, out, _ = run_cli(capsys, ["chart", "small", "--point", str(path),
+                                    "--eps", "1", "--b", "1"])
+    assert code == 0
+    ch = small_tau_chart(pt, 0, EquationParams.make(1, 1.0))
+    assert ch.log_mode
+    assert json.loads(out) == {"log_mode": True,
+                               "a2": [ch.a2.real, ch.a2.imag], "b2": [ch.b2.real, ch.b2.imag],
+                               "a2_second": [ch.a2_second.real, ch.a2_second.imag],
+                               "b2_second": [ch.b2_second.real, ch.b2_second.imag]}
+
+
+def test_fit_csv_missing_column_exit2(tmp_path, capsys):
+    from dp3.ode import algebraic_solution, integrate_ray, trajectory_to_csv
+    params = EquationParams.make(1, 1.0)
+    traj = integrate_ray(algebraic_solution(1.0, params), 0.0, params, 60.0,
+                         dense_at=np.linspace(50.0, 60.0, 12))
+    lines = [",".join(row.split(",")[:-2]) for row in trajectory_to_csv(traj).splitlines()]
+    assert lines[0].split(",")[-1] != "H_im"
+    csv_path = tmp_path / "traj.csv"
+    csv_path.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(capsys, ["fit", "--csv", str(csv_path), "--eps", "1", "--b", "1"])
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    _assert_json_error(err, "validation")

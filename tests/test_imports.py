@@ -4,6 +4,7 @@ first access, and the light CLI commands run without numpy."""
 import ast
 import importlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -126,3 +127,20 @@ def test_unknown_name_raises_attribute_error():
     assert not hasattr(dp3, "np")
     with pytest.raises(ImportError):
         exec("from dp3 import not_a_name", {})
+
+
+def test_light_command_leaves_traceback_unloaded_and_debug_prints_it():
+    # only the DP3_LOG=debug error path needs the traceback module
+    pt = sample_manifold(seed=5, count=1, branch=1, nu_max=0.1)[0]
+    argv = ["chart", "large", "--eps", "1", "--b", "1", "--point", point_to_json(pt)]
+    code = ("import contextlib, io, sys, dp3.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    rc = dp3.cli.main({argv!r})\n"
+            "print(rc, 'traceback' in sys.modules)")
+    assert run_child(code) == "0 False"
+    out = subprocess.run([sys.executable, "-m", "dp3.cli", "chart", "large", "--eps", "1",
+                          "--b", "1", "--point", "{bad"], capture_output=True, text=True,
+                         cwd=SRC, timeout=60, env=dict(os.environ, DP3_LOG="debug"))
+    first, rest = out.stderr.split("\n", 1)
+    assert out.returncode == 2 and json.loads(first)["error"] == "validation"
+    assert rest.startswith("Traceback (most recent call last):")

@@ -4,10 +4,13 @@ evaluators, the group actions, the manifold and cyclic residuals, the
 imaginary-ray values, the cross-ray residuals and ``rho_from`` return
 finite values or raise a ``DP3Error``; so do the Hamiltonian family and
 the conversions on any finite state or (p, q), and the tau-function form
-on any small-argument chart.
+on any small-argument chart.  ``theta_phase`` returns a positive float
+for a positive finite magnitude and raises for any other, and
+``nu_plus_1_of`` is finite or raises on any pair of coordinates.
 """
 
 import cmath
+import math
 
 import numpy as np
 from hypothesis import Phase, example, given, settings
@@ -19,8 +22,10 @@ from dp3.asymptotics import (
     cross_ray_residuals,
     du_small,
     large_tau_chart,
+    nu_plus_1_of,
     small_tau_chart,
     tau_function_asymptotic,
+    theta_phase,
     u_imag,
     u_large,
     u_small,
@@ -139,3 +144,25 @@ def test_state_functions_return_finite_values_or_raise_typed_errors(
     small = call(small_tau_chart, pt, 0, params)
     if small is not None:
         call(tau_function_asymptotic, small, tau_abs, const)
+
+
+MAGNITUDE = st.one_of(st.sampled_from((0.0, -0.0, -1.0, math.inf, -math.inf, math.nan)),
+                      TAU, st.floats())
+
+
+# a negative magnitude gave a complex theta and an infinite one gave inf;
+# g11 g22 = 0 raised the raw math domain error of the logarithm
+@example(EquationParams.make(1, 1.0), -1.0, 1.0, 1.0)
+@example(EquationParams.make(1, 1.0), math.inf, 1.0, 1.0)
+@example(EquationParams.make(1, 1e150), 1.7e308, 0j, 1.0)
+@settings(max_examples=200, deadline=None,
+          phases=[p for p in Phase if p is not Phase.explain])
+@given(PARAMS, MAGNITUDE, COORD, COORD)
+def test_theta_phase_and_nu_plus_1_of_return_finite_values_or_raise_typed_errors(
+        params, tau_abs, g11, g22):
+    theta = call(theta_phase, params, tau_abs)
+    if 0.0 < tau_abs < math.inf:
+        assert theta is None or (type(theta) is float and theta > 0.0), (tau_abs, theta)
+    else:
+        assert theta is None, (tau_abs, theta)
+    call(nu_plus_1_of, g11, g22)
