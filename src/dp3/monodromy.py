@@ -256,11 +256,21 @@ def _monodromy_matrices(pt: MonodromyPoint) -> tuple[tuple, tuple]:
     return m_zero, m_inf
 
 
+def _finite_stokes(st: StokesSet) -> bool:
+    """Whether every entry of every matrix of ``st`` is finite."""
+    import numpy as np
+
+    return all(np.isfinite(m).all() for m in (*st.s_zero.values(), *st.s_inf.values(),
+                                               st.m_zero, st.m_inf))
+
+
+@functools.partial(errors.finite_result, finite=_finite_stokes)
 def stokes_structure(pt: MonodromyPoint, k_min: int = 0, k_max: int = 3) -> StokesSet:
     """Stokes matrices for indices ``k_min..k_max`` at infinity (the window
     at the origin is clipped to at most two indices, one full period) and
     the monodromy matrices built from the canonical factors, each a complex
-    2x2 array."""
+    2x2 array.  An overflow or a non-finite entry raises
+    ``ConditionViolationError``."""
     import numpy as np
 
     def array(m: tuple) -> np.ndarray:

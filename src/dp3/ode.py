@@ -20,10 +20,10 @@ the DOP853 tableau below, once per component count, the first time they
 are needed (never at import).  Each expression keeps the nonzero
 coefficients in ascending stage order, so the steps, ``nfev`` and output
 samples are the same floats as the dense formula y + h sum_j a_sj K_j.
-The generic kernels call a right-hand side per stage; the fused ones that
-``integrate_ray`` uses write ``_DDU`` into every stage instead, with the
-ray's constants bound by a factory call, and give the same floats as
-the generic kernels driven by the equivalent closure.
+One generator writes the kernels of each right-hand side from its record,
+a ``_System``.  The generic kernels call ``fun`` per stage; the fused ones
+that ``integrate_ray`` uses write ``_DDU`` into every stage, with a ray's
+constants bound, and give the floats of the generic ones on that closure.
 
 The dense output is filled in one pass after the last step: the same
 generated interpolant runs once over every step that holds a requested
@@ -251,11 +251,13 @@ def hamiltonian_abcd(A: complex, B: complex, C: complex, D: complex, tau: comple
     return HamiltonianSplit(H=H, H0=H0, Hinf=H - H0)
 
 
+@errors.finite_result
 def algebraic_solution(tau: complex, params: EquationParams,
                        with_phi: bool = False, phi0: complex = 0.0) -> SolutionState:
     """The exact cube-root solution at ``a = 0``: ``u = b^{2/3} tau^{1/3} /
     (2 eps)`` with the real-cube-root convention, plus its derivative (and
-    phi on the positive ray when requested).  Singular at tau = 0."""
+    phi on the positive ray when requested).  Singular at tau = 0; a
+    non-finite tau or state raises ``ConditionViolationError``."""
     if tau == 0:
         raise SingularityError("tau = 0 is a singular point of the equation")
     c = params.coupling_pow23 / (2.0 * params.eps)
@@ -476,8 +478,39 @@ def _dot(row: dict, i: int) -> str:
     return " + ".join(f"k{j}_{i} * {c!r}" for j, c in sorted(row.items()) if c != 0.0)
 
 
-def _kernel_source(n: int, fused: bool = False) -> str:
-    """Source of ``step`` and ``interpolant`` for n components.
+def _tup(items) -> str:
+    """Source of a tuple, with the trailing comma that one item needs."""
+    return "(" + "".join(f"{x}, " for x in items) + ")"
+
+
+@dataclass(frozen=True)
+class _System:
+    """A right-hand side as ``_kernel_source`` writes it into the kernels:
+    ``_GENERIC`` calls fun at each stage, ``_RAY`` is ``_DDU`` along a ray."""
+
+    constants: str  # the parameters of bind, which the kernels close over
+    stage: object  # (outs, s, args) -> lines setting the names outs to the derivative
+    guard: str  # SingularityError message for a division by zero in the stages; "" for none
+    rhs: bool  # whether bind also returns rhs(t, y), the stage's lines at (t, y)
+
+
+def _ray_stage(outs: list, s: str, args: list) -> list:
+    """Lines setting outs to d/ds of (u, du, phi) at s and (u, du) = args[:2]."""
+    values = ("phase * du", f"phase * ({_DDU})", "phase * (a2 / tau + b / u)")
+    return [f"s = {s}", f"u = {args[0]}", f"du = {args[1]}", "tau = phase * s"] \
+        + [f"{out} = {v}" for out, v in zip(outs, values)]
+
+
+_GENERIC = _System("", lambda outs, s, args: [f"{_tup(outs)} = fun({s}, {_tup(args)})"],
+                   "", False)
+_RAY = _System("phase, c_u2, c_ab, b2, a2, b", _ray_stage,  # a2 = 2 a
+               "u vanished at |tau| = {s}", True)
+
+
+def _kernel_source(system: _System, n: int) -> str:
+    """Source of ``bind(<system.constants>)``, which closes ``step`` and
+    ``interpolant`` for n components, and ``rhs(t, y)`` when the system asks
+    for one, over its arguments and returns them, ``rhs`` first.
 
     ``step(fun, t, h, y, f, atol, rtol)`` takes f = fun(t, y) and returns
     the 8th-order solution at t + h, the sums over components of the squared
@@ -486,48 +519,35 @@ def _kernel_source(n: int, fused: bool = False) -> str:
     y_new, f_new, ks)`` computes the three extra stages and returns, per
     component, the seven coefficients that ``_evaluate`` reads.
 
-    With ``fused`` (n = 2, or 3 when phi is tracked) each stage evaluates
-    the equation along a ray inline, from ``_DDU``, in place of calling
-    ``fun``, which the kernels then ignore.  The source defines ``bind(phase,
-    c_u2, c_ab, b2, a2, b)``, which closes the kernels and a matching
-    ``rhs(s, y)`` over one ray's constants (a2 = 2 a) and returns ``(rhs,
-    step, interpolant)``.  Each stage keeps the operations of the closure
-    it replaces, in the same order, so both give the same floats.
+    Each stage, and ``rhs``'s body, is the lines of ``system.stage``, given
+    the s and the arguments of every component; a stage reads the ones it
+    needs.  ``_GENERIC``'s stage calls ``fun``; ``_RAY``'s writes ``_DDU``
+    inline and ignores ``fun``, and each of its stages keeps the operations
+    of the closure it replaces, in the same order, so both give the same
+    floats.
     """
     comps = range(n)
 
-    def tup(items) -> str:  # with the trailing comma that n = 1 needs
-        return "(" + "".join(f"{x}, " for x in items) + ")"
-
-    def derivative(prefix: str) -> list[str]:
-        """Lines setting prefix0.. to the derivative d/ds at (s, u, du)."""
-        values = ("phase * du", f"phase * ({_DDU})", "phase * (a2 / tau + b / u)")
-        return ["    tau = phase * s"] + [f"    {prefix}{i} = {v}" for i, v in zip(comps, values)]
-
     def guarded(body: list[str]) -> list[str]:
-        """``body``, whose fused stages divide by u in ``_DDU``, with that
-        division by zero raised as the singularity at the stage's s."""
-        if not fused:
-            return body
-        return ["    try:"] + [f"    {line}" for line in body] \
+        """``body``, with a division by zero in it raised as the system's
+        singularity at the stage's s."""
+        if not system.guard:
+            return [f"    {line}" for line in body]
+        return ["    try:"] + [f"        {line}" for line in body] \
             + ["    except ZeroDivisionError:",
-               '        raise SingularityError(f"u vanished at |tau| = {s}") from None']
+               f'        raise SingularityError(f"{system.guard}") from None']
 
     def stage(s: int) -> list[str]:
         args = [f"y{i} + ({_dot(_A_NONZERO[s - 1], i)}) * h" for i in comps]
-        if not fused:
-            return [f"    {tup(f'k{s}_{i}' for i in comps)} = fun(t + {_C[s]!r} * h, {tup(args)})"]
-        # phi never feeds back, so its stage argument is not needed
-        return [f"    s = t + {_C[s]!r} * h", f"    u = {args[0]}", f"    du = {args[1]}"] \
-            + derivative(f"k{s}_")
+        return system.stage([f"k{s}_{i}" for i in comps], f"t + {_C[s]!r} * h", args)
 
     weights = _A_NONZERO[11]
     e3 = {j: weights.get(j, 0.0) - _E3_SHIFT.get(j, 0.0) for j in range(12)}
-    ys, news = tup(f"y{i}" for i in comps), tup(f"n{i}" for i in comps)
-    ks = tup(f"k{j}_{i}" for j in range(12) for i in comps)
+    ys, news = _tup(f"y{i}" for i in comps), _tup(f"n{i}" for i in comps)
+    ks = _tup(f"k{j}_{i}" for j in range(12) for i in comps)
     lines = ["def step(fun, t, h, y, f, atol, rtol):",
              f"    {ys} = y",
-             f"    {tup(f'k0_{i}' for i in comps)} = f"]
+             f"    {_tup(f'k0_{i}' for i in comps)} = f"]
     lines += guarded([line for s in range(1, 12) for line in stage(s)])
     lines += [f"    n{i} = y{i} + ({_dot(weights, i)}) * h" for i in comps]
     for i in comps:
@@ -542,7 +562,7 @@ def _kernel_source(n: int, fused: bool = False) -> str:
               "def interpolant(fun, t, h, y, y_new, f_new, ks):",
               f"    {ys} = y",
               f"    {news} = y_new",
-              f"    {tup(f'k12_{i}' for i in comps)} = f_new",
+              f"    {_tup(f'k12_{i}' for i in comps)} = f_new",
               f"    {ks} = ks"]
     lines += guarded([line for s in range(13, 16) for line in stage(s)])
     lines += [f"    d{i} = n{i} - y{i}" for i in comps]
@@ -550,29 +570,30 @@ def _kernel_source(n: int, fused: bool = False) -> str:
               + "".join(f"({_dot(row, i)}) * h, " for row in _D_NONZERO) + ")"
               for i in comps)
     lines.append(f"    return [{', '.join(coeffs)}]")
-    if fused:
-        lines += ["", "def rhs(s, y):", "    u, du = y[0], y[1]"] + guarded(derivative("f")) \
-            + [f"    return {tup(f'f{i}' for i in comps)}"]
-        lines = ["def bind(phase, c_u2, c_ab, b2, a2, b):"] \
-            + [f"    {line}" if line else "" for line in lines] \
-            + ["    return rhs, step, interpolant"]
-    return "\n".join(lines) + "\n"
+    if system.rhs:
+        outs = [f"f{i}" for i in comps]
+        lines += ["", "def rhs(t, y):"] \
+            + guarded(system.stage(outs, "t", [f"y[{i}]" for i in comps])) \
+            + [f"    return {_tup(outs)}"]
+    kernels = "rhs, step, interpolant" if system.rhs else "step, interpolant"
+    return "\n".join([f"def bind({system.constants}):"]
+                     + [f"    {line}" if line else "" for line in lines]
+                     + [f"    return {kernels}"]) + "\n"
 
 
-def _compile(n: int, fused: bool) -> dict:
+def _bind(system: _System, n: int):
     namespace: dict = {"SingularityError": SingularityError}
-    name = f"<DOP853 {'fused ' if fused else ''}kernels, n = {n}>"
-    exec(compile(_kernel_source(n, fused), name, "exec"), namespace)
-    return namespace
+    exec(compile(_kernel_source(system, n), f"<DOP853 kernels, bind({system.constants}), n = {n}>",
+                 "exec"), namespace)
+    return namespace["bind"]
 
 
 def _kernels(n: int) -> tuple:
-    """The (step, interpolant) pair for n components, generated on first
-    use and cached in ``_KERNELS``."""
+    """The generic (step, interpolant) pair for n components, generated on
+    first use and cached in ``_KERNELS``."""
     kernels = _KERNELS.get(n)
     if kernels is None:
-        namespace = _compile(n, fused=False)
-        kernels = _KERNELS[n] = (namespace["step"], namespace["interpolant"])
+        kernels = _KERNELS[n] = _bind(_GENERIC, n)()
     return kernels
 
 
@@ -582,7 +603,7 @@ def _fused_kernels(n: int):
     compiles nothing."""
     bind = _FUSED.get(n)
     if bind is None:
-        bind = _FUSED[n] = _compile(n, fused=True)["bind"]
+        bind = _FUSED[n] = _bind(_RAY, n)
     return bind
 
 

@@ -2,10 +2,12 @@
 
 Every asymptotic chart in this package feeds complex arguments to these
 three functions, so they are implemented once here: a Lanczos sum for the
-right half-plane, the reflection formula for ``Re z < 1/2`` (gamma), an
-upward recurrence that keeps ``ln Gamma`` on its principal branch, and the
+right half-plane, the reflection formula for ``Re z < 1/2`` (for ``ln
+Gamma`` with the 2 pi i k that keeps it on its principal branch), and the
 Bernoulli asymptotic series for the digamma.  Target accuracy is ~1e-14
-relative for ``|z| <= 50``, comfortably inside what the charts need.
+relative for ``|z| <= 50``, comfortably inside what the charts need.  An
+overflow or a value that is not finite, as from a NaN or infinite
+argument, raises ``ConditionViolationError``.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from . import _EXPORTS
+from . import _EXPORTS, errors
 from .errors import PoleError
 
 __all__ = _EXPORTS["specfun"]
@@ -41,6 +43,7 @@ _LANCZOS_C = (
 )
 
 _LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+_LN_PI, _LN_2 = math.log(math.pi), math.log(2.0)
 
 # Asymptotic digamma series: psi(z) ~ ln z - 1/(2z) - sum B_2n / (2n z^2n).
 _PSI_ASYMP = (
@@ -67,29 +70,46 @@ def _lanczos_log(z: complex) -> complex:
     return _LN_SQRT_2PI + (z - 0.5) * cmath.log(t) - t + cmath.log(acc)
 
 
+def _log_sinpi(z: complex) -> complex:
+    """Principal ``log sin(pi z)``.  Re z is reduced exactly to r in
+    [-1/2, 1/2] about its nearest integer n, and sin(pi z) is written as
+    (-1)^n e^{pi |Im z|} / 2 times a factor of modulus at most 2, so
+    nothing overflows and sin(pi r) keeps its digits near the poles."""
+    n = round(z.real)
+    r, y = math.pi * (z.real - n), math.pi * abs(z.imag)
+    sign = -1.0 if n % 2 else 1.0
+    w = complex(sign * math.sin(r) * (1.0 + math.exp(-2.0 * y)),
+                sign * math.copysign(math.cos(r) * -math.expm1(-2.0 * y), z.imag))
+    return y - _LN_2 + cmath.log(w)
+
+
+@errors.finite_result
 def ln_gamma(z: complex) -> complex:
     """Principal branch of ``ln Gamma(z)`` (branch cut on the negative
-    real axis), normalised so that ``exp(ln_gamma(z)) == Gamma(z)``.
+    real axis, whose lower side an imaginary part of -0.0 takes, as in
+    ``cmath``), normalised so that ``exp(ln_gamma(z)) == Gamma(z)``.  Its
+    cost does not depend on ``z``: for ``Re z < 1/2`` it is the reflection
+    formula, ``ln pi - log sin(pi z) - ln Gamma(1 - z)`` plus the 2 pi i k
+    of D. E. G. Hare (J. Algorithms 25 (1997) 221), where k =
+    sign(Im z) floor(Re z / 2 + 1/4).
 
     Raises
     ------
     PoleError
         If ``z`` is a non-positive integer.
+    ConditionViolationError
+        If the arithmetic overflows or the value is not finite.
     """
     z = complex(z)
     if _is_nonpositive_integer(z):
         raise PoleError(f"ln_gamma pole at z = {z}")
     if z.real >= 0.5:
         return _lanczos_log(z)
-    # ln Gamma(z) = ln Gamma(z + n) - sum_k Log(z + k) holds with principal
-    # logs on the cut plane, so shifting preserves the branch.
-    n = int(math.ceil(0.5 - z.real))
-    shift = 0.0 + 0.0j
-    for k in range(n):
-        shift += cmath.log(z + k)
-    return _lanczos_log(z + n) - shift
+    k = math.copysign(2.0 * math.pi, z.imag) * math.floor(0.5 * z.real + 0.25)
+    return complex(_LN_PI, k) - _log_sinpi(z) - _lanczos_log(1.0 - z)
 
 
+@errors.finite_result
 def gamma(z: complex) -> complex:
     """``Gamma(z)`` for complex ``z`` off the non-positive integers."""
     z = complex(z)
@@ -101,6 +121,7 @@ def gamma(z: complex) -> complex:
     return math.pi / (cmath.sin(math.pi * z) * cmath.exp(_lanczos_log(1.0 - z)))
 
 
+@errors.finite_result
 def digamma(z: complex) -> complex:
     """``psi(z) = d/dz ln Gamma(z)`` for complex ``z``.
 

@@ -6,7 +6,9 @@ finite values or raise a ``DP3Error``; so do the Hamiltonian family and
 the conversions on any finite state or (p, q), and the tau-function form
 on any small-argument chart.  ``theta_phase`` returns a positive float
 for a positive finite magnitude and raises for any other, and
-``nu_plus_1_of`` is finite or raises on any pair of coordinates.
+``nu_plus_1_of`` is finite or raises on any pair of coordinates.  The
+special functions, the algebraic solution and ``stokes_structure`` are
+finite or raise on any complex argument, infinite and NaN ones included.
 """
 
 import cmath
@@ -40,9 +42,11 @@ from dp3.monodromy import (
     lie_point_monodromy,
     manifold_residual,
     rho_from,
+    stokes_structure,
 )
 from dp3.ode import (
     SolutionState,
+    algebraic_solution,
     hamiltonian_abcd,
     hamiltonian_pq,
     hamiltonian_system_rhs,
@@ -52,6 +56,7 @@ from dp3.ode import (
     to_abcd,
 )
 from dp3.params import EquationParams
+from dp3.specfun import digamma, gamma, ln_gamma
 
 SPECIAL = (0.0, -0.0, 1.0, -1.0, 0.5, 1e-300, 1e20, 1e150, 1e300, -1e300, 700.0, -700.0)
 REAL = st.one_of(st.sampled_from(SPECIAL), st.floats(-3.0, 3.0),
@@ -115,6 +120,9 @@ def test_entry_points_return_finite_values_or_raise_typed_errors(
             call(fn, small, tau)
 
 
+PARAMS_1 = EquationParams.make(1, 1.0)
+
+
 def _branch1(a: complex) -> MonodromyPoint:
     g11, g12, g21 = 1.05, 0.21 + 0.1j, -0.15 + 0.05j
     return from_branch(1, a, g11=g11, g12=g12, g21=g21, g22=(1.0 + g12 * g21) / g11)
@@ -166,3 +174,29 @@ def test_theta_phase_and_nu_plus_1_of_return_finite_values_or_raise_typed_errors
     else:
         assert theta is None, (tau_abs, theta)
     call(nu_plus_1_of, g11, g22)
+
+
+ANY_COMPLEX = st.one_of(COORD, st.complex_numbers())
+
+
+# gamma(200.0) raised a raw OverflowError, gamma and digamma of NaN returned
+# NaN, algebraic_solution of inf and NaN returned a non-finite state, and
+# stokes_structure over 10**4 indices raised a raw OverflowError
+@example(200.0 + 0j, 1.0 + 0j, PARAMS_1, _branch1(0.3j), 3)
+@example(complex(math.nan, 0.0), 1.0 + 0j, PARAMS_1, _branch1(0.3j), 3)
+@example(1.0 + 0j, complex(math.inf, 0.0), PARAMS_1, _branch1(0.3j), 3)
+@example(1.0 + 0j, complex(math.nan, 0.0), PARAMS_1, _branch1(0.3j), 3)
+@example(1.0 + 0j, 1.0 + 0j, PARAMS_1, _branch1(0.9 + 0.5j), 10**4)
+@settings(max_examples=200, deadline=None,
+          phases=[p for p in Phase if p is not Phase.explain])
+@given(ANY_COMPLEX, ANY_COMPLEX, PARAMS, POINT, st.integers(0, 10**4))
+def test_special_functions_algebraic_solution_and_stokes_return_finite_values_or_raise(
+        z, tau, params, pt, k_max):
+    for fn in (digamma, gamma, ln_gamma):
+        call(fn, z)
+    for with_phi in (False, True):
+        call(algebraic_solution, tau, params, with_phi)
+    stokes = call(stokes_structure, pt, 0, k_max)
+    if stokes is not None:
+        matrices = (*stokes.s_zero.values(), *stokes.s_inf.values(), stokes.m_zero, stokes.m_inf)
+        assert all(np.isfinite(m).all() for m in matrices), (pt, k_max)

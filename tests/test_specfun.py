@@ -4,7 +4,11 @@ functional identities."""
 
 import cmath
 import math
+import subprocess
+import sys
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -41,6 +45,38 @@ DIGAMMA_ORACLE = [
 @pytest.mark.parametrize("z,expected", LOGGAMMA_ORACLE)
 def test_ln_gamma_oracle(z, expected):
     assert abs(ln_gamma(z) - expected) <= 1e-13 * max(1.0, abs(expected))
+
+
+LN_GAMMA_RE = (-1e6 - 0.3, -1e6 + 0.25, -12345.678, -1000.5, -50.3, -7.5, -3.0000001, -2.5,
+               -1.2, -0.75, -0.5, -1e-3, 0.2, 0.45, 0.5, 3.0)
+LN_GAMMA_IM = (0.0, -0.0, 1e-9, -1e-9, 0.5, -0.5, 3.0, -3.0, 7.5, -7.5, 40.0, -40.0, 300.0,
+               -300.0, 1e4)
+
+
+def test_ln_gamma_matches_mpmath_down_to_re_z_minus_1e6():
+    # mpmath has no signed zero: its value on the cut is the upper side's,
+    # and an imaginary part of -0.0 takes the lower side, as in cmath
+    worst = 0.0
+    with mpmath.workdps(30):
+        for x in LN_GAMMA_RE:
+            for y in LN_GAMMA_IM:
+                ref = complex(mpmath.loggamma(mpmath.mpc(x, y)))
+                if y == 0.0 and math.copysign(1.0, y) < 0.0:
+                    ref = ref.conjugate()
+                worst = max(worst, abs(ln_gamma(complex(x, y)) - ref) / abs(ref))
+    assert worst <= 1e-13
+
+
+def test_ln_gamma_cost_does_not_grow_with_minus_re_z():
+    # summing ceil(1/2 - Re z) logarithms never returned at Re z = -1e20;
+    # a child process, so that such a loop fails the test by its timeout
+    code = ("import time; from dp3.specfun import ln_gamma; t = time.perf_counter(); "
+            "[ln_gamma(z) for z in (-1e20 + 0.5j, -1e6 + 0.25j, complex(-1e300, 1.0))]; "
+            "print(time.perf_counter() - t)")
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, cwd=src, timeout=30)
+    assert float(out.stdout) < 1.0
 
 
 def test_ln_gamma_trivials():
