@@ -19,8 +19,8 @@ from dataclasses import dataclass
 # functions bound in this namespace and looks each up in its own module
 from . import _EXPORTS, errors
 from .errors import ConditionViolationError
-from .monodromy import MonodromyPoint, apply_F, lie_point_monodromy, rho_from
-from .params import EquationParams
+from .monodromy import MonodromyPoint, _nu_plus_1, apply_F, lie_point_monodromy, rho_from
+from .params import EquationParams, _shifted_a
 from .specfun import digamma, gamma
 
 __all__ = _EXPORTS["asymptotics"]
@@ -44,7 +44,16 @@ def theta_phase(params: EquationParams, tau_abs: float) -> float:
 @errors.finite_result
 def nu_plus_1_of(g11: complex, g22: complex) -> complex:
     """Index of the large-argument chart, (i / 2 pi) ln(g11 g22)."""
-    return 0.5j / math.pi * cmath.log(g11 * g22)
+    return _nu_plus_1(g11, g22)
+
+
+def _omega_and_nu_plus_1(g11: complex, g12: complex, g22: complex) -> tuple[complex, complex]:
+    """(g12 / g22, nu + 1) of a generic large chart, nu + 1 in the strip |Re(nu+1)| < 1/6."""
+    nu1 = nu_plus_1_of(g11, g22)
+    if abs(nu1.real) >= 1.0 / 6.0:
+        raise ConditionViolationError(
+            f"|Re(nu+1)| = {abs(nu1.real):.4f} >= 1/6: outside the chart's validity strip")
+    return g12 / g22, nu1
 
 
 def _check_a(a: complex) -> None:
@@ -63,6 +72,11 @@ def _magnitude(tau_abs: float) -> float:
 
 def _ray_phase(eps1: int) -> complex:
     return cmath.exp(1j * math.pi * eps1)
+
+
+def _large_scale(params: EquationParams, eps1: int) -> float:
+    """C = (-1)^eps1 eps sqrt|eps b| / 3^{1/4}, the scale of u at large |tau|."""
+    return ((-1.0) ** (eps1 % 2)) * params.eps * math.sqrt(params.abs_coupling) / 3.0 ** 0.25
 
 
 def _cbrt_on_ray(eps1: int, m: float) -> complex:
@@ -131,11 +145,7 @@ def large_tau_chart(pt: MonodromyPoint, eps1: int, params: EquationParams) -> La
     if g11 == 0 or g22 == 0:
         raise ConditionViolationError(
             "large-argument chart needs g11 g12 g21 g22 != 0 after the sector map")
-    nu1 = nu_plus_1_of(g11, g22)
-    if abs(nu1.real) >= 1.0 / 6.0:
-        raise ConditionViolationError(
-            f"|Re(nu+1)| = {abs(nu1.real):.4f} >= 1/6: outside the chart's validity strip")
-    omega = g12 / g22
+    omega, nu1 = _omega_and_nu_plus_1(g11, g12, g22)
     if nu1 == 0:
         z = None  # degenerate: the oscillatory normalisation is singular
     else:
@@ -179,7 +189,7 @@ def u_large(chart: LargeTauChart, tau_abs: float) -> complex:
             "degenerate chart: nu + 1 = 0 with nontrivial off-diagonal entries; "
             "use the triangular special charts")
     theta = _theta(P, m)
-    return ((-1.0) ** (chart.eps1 % 2)) * P.eps * math.sqrt(P.abs_coupling) / 3.0 ** 0.25 \
+    return _large_scale(P, chart.eps1) \
         * (cmath.sqrt(theta / 12.0) + cmath.sqrt(chart.nu_plus_1) * cmath.exp(0.75j * math.pi)
            * cmath.cosh(1j * theta + chart.nu_plus_1 * cmath.log(theta) + chart.z))
 
@@ -191,7 +201,7 @@ def H_large(chart: LargeTauChart, tau_abs: float) -> complex:
     P = chart.params
     m = _magnitude(tau_abs)
     tau = _ray_phase(chart.eps1) * m
-    ash = chart.a - 0.5j * P.sign2
+    ash = _shifted_a(chart.a, P.sign2)
     t13 = _cbrt_on_ray(chart.eps1, m)
     return 3.0 * P.coupling_pow23 * t13 \
         + 2.0 * P.abs_coupling ** (1.0 / 3.0) / t13 * (ash - 2.0 * _SQRT3 * 1j * chart.nu_plus_1) \
@@ -287,6 +297,18 @@ def _small_brackets(chart: SmallTauChart, m: float):
     return t1p + t1m, t2p + t2m, t1p - t1m, t2p - t2m
 
 
+def _log_brackets(chart: SmallTauChart, m: float) -> tuple[complex, complex]:
+    """The log branch's (a2 + b2 ln m, a2' + b2' ln m) at |tau| = m."""
+    log_m = math.log(m)
+    return chart.a2 + chart.b2 * log_m, chart.a2_second + chart.b2_second * log_m
+
+
+def _small_exponent(chart: SmallTauChart) -> complex:
+    """a (a - (-1)^eps2 i) + 1/4 (+ 8 rho^2 off the log branch): 2 tau H_small's constant."""
+    e = chart.a * (chart.a - chart.params.sign2 * 1j) + 0.25
+    return e if chart.log_mode else e + 8.0 * chart.rho**2
+
+
 @errors.finite_result
 def u_small(chart: SmallTauChart, tau_abs: float) -> complex:
     """Leading small-argument value at |tau| = tau_abs on the chart's ray."""
@@ -294,8 +316,7 @@ def u_small(chart: SmallTauChart, tau_abs: float) -> complex:
     m = _magnitude(tau_abs)
     tau = _ray_phase(chart.eps1) * m
     if chart.log_mode:
-        L1 = chart.a2 + chart.b2 * math.log(m)
-        L2 = chart.a2_second + chart.b2_second * math.log(m)
+        L1, L2 = _log_brackets(chart, m)
         return chart.prefactor * tau * L1 * L2
     F1, F2, _, _ = _small_brackets(chart, m)
     s = P.sign2
@@ -309,8 +330,7 @@ def du_small(chart: SmallTauChart, tau_abs: float) -> complex:
     m = _magnitude(tau_abs)
     tau = _ray_phase(chart.eps1) * m
     if chart.log_mode:
-        L1 = chart.a2 + chart.b2 * math.log(m)
-        L2 = chart.a2_second + chart.b2_second * math.log(m)
+        L1, L2 = _log_brackets(chart, m)
         return chart.prefactor * (L1 * L2 + chart.b2 * L2 + chart.b2_second * L1)
     F1, F2, G1, G2 = _small_brackets(chart, m)
     s = P.sign2
@@ -321,32 +341,22 @@ def du_small(chart: SmallTauChart, tau_abs: float) -> complex:
 @errors.finite_result
 def H_small(chart: SmallTauChart, tau_abs: float) -> complex:
     """Leading small-argument Hamiltonian on the chart's ray."""
-    P = chart.params
     m = _magnitude(tau_abs)
     tau = _ray_phase(chart.eps1) * m
-    s = P.sign2
     if chart.log_mode:
-        return (chart.a * (chart.a - s * 1j) + 0.25) / (2.0 * tau) \
-            + chart.b2 / (tau * (chart.a2 + chart.b2 * math.log(m)))
+        return _small_exponent(chart) / (2.0 * tau) + chart.b2 / (tau * _log_brackets(chart, m)[0])
     F1, _, G1, _ = _small_brackets(chart, m)
-    return 2.0 * chart.rho / tau * (G1 / F1) \
-        + (chart.a * (chart.a - s * 1j) + 0.25 + 8.0 * chart.rho**2) / (2.0 * tau)
+    return 2.0 * chart.rho / tau * (G1 / F1) + _small_exponent(chart) / (2.0 * tau)
 
 
 @errors.finite_result
 def tau_function_asymptotic(chart: SmallTauChart, tau_abs: float, const: complex = 1.0) -> complex:
     """Small-argument tau-function form; ``const`` is the undetermined
     overall factor."""
-    P = chart.params
     m = _magnitude(tau_abs)
     tau = _ray_phase(chart.eps1) * m
-    s = P.sign2
-    if chart.log_mode:
-        expo = 0.5 * (chart.a * (chart.a - s * 1j) + 0.25)
-        return const * (tau**expo * (chart.a2 + chart.b2 * math.log(m)))
-    expo = 0.5 * (chart.a * (chart.a - s * 1j) + 0.25 + 8.0 * chart.rho**2)
-    F1, _, _, _ = _small_brackets(chart, m)
-    return const * (tau**expo * F1)
+    F1 = _log_brackets(chart, m)[0] if chart.log_mode else _small_brackets(chart, m)[0]
+    return const * (tau ** (0.5 * _small_exponent(chart)) * F1)
 
 
 def imag_chart(pt: MonodromyPoint, eps1: int, params: EquationParams,
@@ -408,10 +418,7 @@ def cross_ray_residuals(pt: MonodromyPoint) -> list[float]:
         m = apply_F(pt, eps1, 0)
         if m.g11 * m.g12 * m.g21 * m.g22 == 0:
             raise ConditionViolationError("a chart on one of the rays is degenerate")
-        nu1 = nu_plus_1_of(m.g11, m.g22)
-        if abs(nu1.real) >= 1.0 / 6.0:
-            raise ConditionViolationError("a chart on one of the rays violates the strip bound")
-        return m.g12 / m.g22, nu1
+        return _omega_and_nu_plus_1(m.g11, m.g12, m.g22)
 
     omega, nu1 = chart_pair(0)
     omega_p, nu1_p = chart_pair(1)

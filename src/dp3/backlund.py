@@ -8,11 +8,14 @@ symmetries acting on solutions.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
-from . import _EXPORTS
+# the errors module, not its decorator: perfbench/tracer.py wraps the
+# functions bound in this namespace and looks each up in its own module
+from . import _EXPORTS, errors
 from .errors import ConditionViolationError, LadderBreakdownError, SingularityError
 from .ode import SolutionState, dp3_rhs
 from .params import EquationParams
@@ -44,11 +47,20 @@ class LadderEntry:
     f: complex | None = None
 
 
+def _finite_step(result: tuple[SolutionState, complex]) -> bool:
+    """Whether the image's u and u' and its a are finite (the input's tau is)."""
+    state, a = result
+    return all(cmath.isfinite(v) for v in (state.u, state.du, a))
+
+
+@functools.partial(errors.finite_result, finite=_finite_step)
 def backlund_step(state: SolutionState, a: complex, params: EquationParams,
                   direction: str = "up") -> tuple[SolutionState, complex]:
     """One Backlund transformation.  ``up`` sends ``a -> a - i``, ``down``
     (its group inverse) sends ``a -> a + i``.  The derivative of the image
-    is obtained analytically, eliminating u'' through the equation."""
+    is obtained analytically, eliminating u'' through the equation.  An
+    arithmetic failure (say u u underflowing to 0) or a non-finite image
+    raises ``ConditionViolationError``."""
     tau, u, du = state.tau, state.u, state.du
     if u == 0:
         raise SingularityError("Backlund step undefined at u = 0")
@@ -101,7 +113,10 @@ def _climb(seed, a0, params, n_max, seed_eval) -> list[LadderEntry]:
     for n in range(n_max):
         if state.u == 0:
             raise LadderBreakdownError(f"u_{n} vanishes at tau = {tau}", n=n)
-        state, a = backlund_step(state, a, params, "up")
+        try:
+            state, a = backlund_step(state, a, params, "up")
+        except ConditionViolationError as exc:
+            raise LadderBreakdownError(f"rung {n + 1} breaks down: {exc}", n=n + 1) from None
         states.append(state)
     entries = []
     for n, st in enumerate(states):

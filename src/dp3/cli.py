@@ -164,14 +164,14 @@ def _cmd_eval(args) -> int:
 
 
 def _seed_state(args, params) -> tuple[SolutionState, complex]:
-    from . import connection, ode
+    from . import asymptotics, connection, ode
 
     if args.point is not None:
         pt = _load_point(args.point)
         return connection._chart_seed(pt, params, args.tau0, args.eps1), pt.a
     if args.u0 is None or args.du0 is None:
         raise _ValidationError("give either --point or both --u0 and --du0")
-    tau0 = args.tau0 * cmath.exp(1j * math.pi * args.eps1)
+    tau0 = args.tau0 * asymptotics._ray_phase(args.eps1)
     return ode.SolutionState(tau0, args.u0, args.du0), args.a
 
 

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _EXPORTS
-from .asymptotics import _theta, du_small, large_tau_chart, small_tau_chart, u_small
+from .asymptotics import (_large_scale, _ray_phase, _theta, du_small, large_tau_chart,
+                          small_tau_chart, u_small)
 from .errors import ConditionViolationError
 from .monodromy import MonodromyPoint
 from .ode import SolutionState, Trajectory, integrate_ray
@@ -75,7 +76,7 @@ def fit_large_tau(traj: Trajectory, params: EquationParams,
         raise ConditionViolationError(
             f"fit window starts at |tau| = {m.min():.4g} (theta = {theta.min():.1f} < 50); "
             f"it must start at |tau| >= {_theta_floor(params):.4g}")
-    C = ((-1.0) ** (eps1 % 2)) * params.eps * math.sqrt(params.abs_coupling) / 3.0 ** 0.25
+    C = _large_scale(params, eps1)
     osc = np.asarray(traj.u, dtype=complex) / C - np.sqrt(theta / 12.0)
     amp = float(np.max(np.abs(osc)))
     if amp < 1e-9:
@@ -263,8 +264,7 @@ def _chart_seed(pt: MonodromyPoint, params: EquationParams, tau0: float,
     """(tau, u, u') at |tau| = tau0 on the ray arg tau = pi eps1, from the
     point's small-argument chart."""
     sc = small_tau_chart(pt, eps1, params)
-    tau = tau0 * cmath.exp(1j * math.pi * eps1)
-    return SolutionState(tau, u_small(sc, tau0), du_small(sc, tau0))
+    return SolutionState(tau0 * _ray_phase(eps1), u_small(sc, tau0), du_small(sc, tau0))
 
 
 def verify_connection(pt: MonodromyPoint, params: EquationParams,

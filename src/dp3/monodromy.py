@@ -169,12 +169,15 @@ def from_branch(branch: int, a: complex, **free) -> MonodromyPoint:
     branch 2: free = s00, g22 (g11 = 0)
     branch 3: free = s00, g11 (g22 = 0)
 
-    Raises ``ConditionViolationError`` when a coordinate of the point is
-    not a finite float, e.g. when ``e^{pi a}`` overflows.
+    Raises ``ConditionViolationError`` when a free coordinate is missing or
+    a coordinate of the point is not a finite float, e.g. when ``e^{pi a}``
+    overflows.
     """
     try:
         values = _branch_coordinates(branch, complex(a), free)
-    except (OverflowError, ZeroDivisionError) as exc:
+    except KeyError as exc:
+        raise ConditionViolationError(f"branch {branch} needs the coordinate {exc}") from None
+    except (ArithmeticError, ValueError) as exc:  # cmath's domain errors are ValueErrors
         raise ConditionViolationError(
             f"branch {branch} point overflows at a = {a}: {exc}") from None
     if not all(cmath.isfinite(v) for v in values):
@@ -227,6 +230,11 @@ def rho_from(pt: MonodromyPoint) -> complex:
     if abs(rho.real) < 1e-15 and rho.imag < 0.0:
         rho = -rho
     return rho
+
+
+def _nu_plus_1(g11: complex, g22: complex) -> complex:
+    """nu + 1 = (i / 2 pi) ln(g11 g22), unchecked, for the charts and the sampler."""
+    return 0.5j / math.pi * cmath.log(g11 * g22)
 
 
 def _stokes_mult_inf(pt: MonodromyPoint, k: int) -> complex:
@@ -376,8 +384,9 @@ def apply_F(pt: MonodromyPoint, eps1: int, eps2: int) -> MonodromyPoint:
 
 @_finite_action
 def apply_Fhat(pt: MonodromyPoint, eps1: int, eps2: int) -> MonodromyPoint:
-    """Sector-rotation action used by the imaginary-axis charts, indexed by
-    ``eps1 in {+1, -1}`` and ``eps2 in {0, +1, -1}``.  ``s00`` is fixed;
+    """Sector-rotation action for the imaginary axes, indexed by
+    ``eps1 in {+1, -1}`` and ``eps2 in {0, +1, -1}``; ``imag_chart`` rotates
+    with ``lie_point_monodromy(..., "rotate_tau")`` instead.  ``s00`` is fixed;
     the ``eps2 = 0`` cases compose a quarter rotation with a coupling-sign
     flip and therefore send ``a -> -a`` (the ``eps2 = +-1`` cases fix ``a``).
 

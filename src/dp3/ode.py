@@ -48,7 +48,7 @@ import numpy as np
 # functions bound in this namespace and looks each up in its own module
 from . import _EXPORTS, errors
 from .errors import ConditionViolationError, IntegrationFailureError, SingularityError
-from .params import EquationParams
+from .params import EquationParams, _shifted_a, _shifted_ai
 
 __all__ = _EXPORTS["ode"]
 
@@ -132,23 +132,28 @@ def _ddu(tau, u, du, a: complex, params: EquationParams):
 
 
 def dp3_rhs(state: SolutionState, a: complex, params: EquationParams) -> tuple[complex, complex]:
-    """(u', u'') at the given state."""
+    """(u', u'') at the given state.  A u'' that is a number and not finite
+    raises ``ConditionViolationError`` (it is finite only where u' is); the
+    lanes and arrays that the generic dense pass and array callers pass are
+    not checked."""
     tau, u, du = _check_state(state)
-    return du, _ddu(tau, u, du, a, params)
+    ddu = _ddu(tau, u, du, a, params)
+    if isinstance(ddu, (complex, float)) and not cmath.isfinite(ddu):
+        raise ConditionViolationError(f"dp3_rhs: u'' = {ddu} is not finite")
+    return du, ddu
 
 
 def _hamiltonian(tau, u, du, a: complex, params: EquationParams):
     """Hamiltonian in terms of (tau, u, u'), for scalars or numpy arrays
     (no singularity check)."""
-    ash = a - 0.5j * params.sign2
+    ash = _shifted_a(a, params.sign2)
     return ash * params.b / u + ash * ash / (2.0 * tau) \
         + (tau / (4.0 * u * u)) * (du * du + params.b**2) + 4.0 * params.eps * u
 
 
 @errors.finite_result
 def hamiltonian_u(state: SolutionState, a: complex, params: EquationParams) -> complex:
-    """Hamiltonian in terms of (tau, u, u'); the eps2 = +-1 sectors replace
-    i/2 by (-1)**eps2 i/2 in the two a-dependent terms."""
+    """Hamiltonian in terms of (tau, u, u'), at the sector's shifted a."""
     tau, u, du = _check_state(state)
     return _hamiltonian(tau, u, du, a, params)
 
@@ -156,10 +161,9 @@ def hamiltonian_u(state: SolutionState, a: complex, params: EquationParams) -> c
 @errors.finite_result
 def hamiltonian_pq(p: complex, q: complex, tau: complex, a: complex,
                    params: EquationParams, eps1_h: int = -1) -> complex:
-    """Canonical-variables Hamiltonian H_{eps1_h}(p, q; tau).  The formal
-    constant is ``ai + (-1)^{eps2}/2``, mirroring the sector form of
-    ``hamiltonian_u`` (the whole channel is covariant in that constant)."""
-    k = a * 1j + 0.5 * params.sign2
+    """Canonical-variables Hamiltonian H_{eps1_h}(p, q; tau); its formal constant
+    is i times ``hamiltonian_u``'s shifted a, in which the channel is covariant."""
+    k = _shifted_ai(a, params.sign2)
     return p * p * q * q / tau - 2.0 * eps1_h * p * q * k / tau \
         + 4.0 * params.eps * q + 1j * params.b * p + k * k / (2.0 * tau)
 
@@ -170,7 +174,7 @@ def hamiltonian_system_rhs(p: complex, q: complex, tau: complex, a: complex,
     """Hamilton's equations: (dp/dtau, dq/dtau) = (-dH/dq, +dH/dp)."""
     if tau == 0:
         raise SingularityError("tau = 0 is a singular point of the system")
-    k = a * 1j + 0.5 * params.sign2
+    k = _shifted_ai(a, params.sign2)
     dp = -(2.0 * p * p * q / tau - 2.0 * eps1_h * p * k / tau + 4.0 * params.eps)
     dq = 2.0 * p * q * q / tau - 2.0 * eps1_h * q * k / tau + 1j * params.b
     return dp, dq
@@ -182,7 +186,7 @@ def p_from_u(state: SolutionState, a: complex, params: EquationParams,
     """Conjugate momentum for q = u (same sector constant as the
     Hamiltonian channel)."""
     tau, u, du = _check_state(state)
-    k = a * 1j + 0.5 * params.sign2
+    k = _shifted_ai(a, params.sign2)
     return tau * (du - 1j * params.b) / (2.0 * u * u) + k * eps1_h / u
 
 
@@ -197,10 +201,11 @@ def sigma_and_f(state: SolutionState, a: complex, params: EquationParams) -> tup
     regardless of eps2."""
     eps1_h = -1
     tau, u, du = _check_state(state)
-    p = tau * (du - 1j * params.b) / (2.0 * u * u) + (a * 1j + 0.5) * eps1_h / u
+    k = _shifted_ai(a, 1)
+    p = tau * (du - 1j * params.b) / (2.0 * u * u) + k * eps1_h / u
     q = u
     f = p * q / 2.0
-    sigma = (p * q - eps1_h * (a * 1j + 0.5 - eps1_h / 2.0)) ** 2 \
+    sigma = (p * q - eps1_h * (k - eps1_h / 2.0)) ** 2 \
         + tau * (4.0 * params.eps * q + 1j * params.b * p)
     return sigma, f
 
@@ -236,17 +241,16 @@ def hamiltonian_abcd(A: complex, B: complex, C: complex, D: complex, tau: comple
         raise SingularityError("A B = 0 is outside the parametrised stratum")
     if sqrt_ab is None:
         sqrt_ab = cmath.sqrt(-A * B)
-    k = a * 1j + 0.5
+    k = _shifted_ai(a, 1)
     H = (k + 2.0 * tau * A * D / sqrt_ab) ** 2 / (2.0 * tau) + 4.0 * tau * sqrt_ab \
         - 1j * params.eps * params.b * D / B + 2.0 * tau * C * D + A * D / sqrt_ab
+    ash = _shifted_a(a, params.sign2)
     if params.sign2 != 1:
         # the matrix-entry line is written in the plain convention; the
         # sector form differs by the a-linear terms only
         u = params.eps * tau * sqrt_ab
-        ash_s = a - 0.5j * params.sign2
-        ash_1 = a - 0.5j
-        H += (ash_s - ash_1) * params.b / u + (ash_s**2 - ash_1**2) / (2.0 * tau)
-    ash = a - 0.5j * params.sign2
+        ash_1 = _shifted_a(a, 1)
+        H += (ash - ash_1) * params.b / u + (ash**2 - ash_1**2) / (2.0 * tau)
     H0 = 0.5 * (H - ash * ash / (2.0 * tau))
     return HamiltonianSplit(H=H, H0=H0, Hinf=H - H0)
 
@@ -964,10 +968,13 @@ def solve_ivp(fun, t_span: tuple[float, float], y0, rtol: float, atol: float,
     return _RaySolution(np.array(ts), y_out, nfev, 0, u_abs_range=(u_min, u_max))
 
 
+@errors.finite_result
 def residual_on_grid(tau: np.ndarray, u: np.ndarray, a: complex,
                      params: EquationParams) -> float:
     """Max interior residual of the equation by second-order central
-    differences over >= 5 equally spaced samples of the ray parameter."""
+    differences over >= 5 equally spaced samples of the ray parameter.  An
+    interior u = 0 raises ``SingularityError``, a residual that is not
+    finite ``ConditionViolationError``."""
     tau = np.asarray(tau, dtype=complex)
     u = np.asarray(u, dtype=complex)
     if len(tau) < 5:
@@ -979,11 +986,14 @@ def residual_on_grid(tau: np.ndarray, u: np.ndarray, a: complex,
     phase = tau[0] / s[0]
     if not np.allclose(tau / s, phase, rtol=1e-12, atol=1e-300):
         raise ConditionViolationError("samples must lie on one ray")
+    if not np.all(u[1:-1]):
+        raise SingularityError("u = 0 at an interior sample")
     h0 = h[0]
-    du = (u[2:] - u[:-2]) / (2.0 * h0 * phase)
-    ddu = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (h0 * phase) ** 2
-    rhs = _ddu(tau[1:-1], u[1:-1], du, a, params)
-    return float(np.max(np.abs(ddu - rhs)))
+    with np.errstate(all="ignore"):  # an overflow gives inf or NaN, which raises
+        du = (u[2:] - u[:-2]) / (2.0 * h0 * phase)
+        ddu = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (h0 * phase) ** 2
+        rhs = _ddu(tau[1:-1], u[1:-1], du, a, params)
+        return float(np.max(np.abs(ddu - rhs)))
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:

@@ -1,4 +1,4 @@
-"""Equation parameters (eps, b) and the coupling-sector label eps2."""
+"""Equation parameters (eps, b), the coupling-sector label eps2 and its shift of a."""
 
 from __future__ import annotations
 
@@ -62,3 +62,13 @@ class EquationParams:
     def coupling_pow23(self) -> float:
         """(eps*b)^{2/3} = b^{2/3}: the square of the real cube root, always > 0."""
         return (self.abs_coupling ** (1.0 / 3.0)) ** 2
+
+
+def _shifted_a(a, sign2: int):
+    """a - (-1)^eps2 i/2 for sign2 = (-1)^eps2: the Hamiltonians' shifted a."""
+    return a - 0.5j * sign2
+
+
+def _shifted_ai(a, sign2: int):
+    """a i + (-1)^eps2 / 2, i times the shifted a, summed as written."""
+    return a * 1j + 0.5 * sign2

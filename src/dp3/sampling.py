@@ -15,14 +15,13 @@ points it gave when the sampler called numpy.
 
 from __future__ import annotations
 
-import cmath
 import math
 import numbers
 import sys
 
 from . import _EXPORTS
 from .errors import ConditionViolationError, SamplingExhaustedError
-from .monodromy import MonodromyPoint, from_branch, rho_from
+from .monodromy import MonodromyPoint, _nu_plus_1, from_branch, rho_from
 
 __all__ = _EXPORTS["sampling"]
 
@@ -169,10 +168,7 @@ def sample_manifold(seed: int, count: int, branch: int,
         except ConditionViolationError:
             continue
         if nu_max is not None:
-            prod = pt.g11 * pt.g22
-            if prod == 0:
-                continue
-            if abs(0.5j / math.pi * cmath.log(prod)) > nu_max:
+            if pt.g11 * pt.g22 == 0 or abs(_nu_plus_1(pt.g11, pt.g22)) > nu_max:
                 continue
         if re_rho_max is not None:
             if abs(rho_from(pt).real) > re_rho_max:

@@ -9,6 +9,9 @@ for a positive finite magnitude and raises for any other, and
 ``nu_plus_1_of`` is finite or raises on any pair of coordinates.  The
 special functions, the algebraic solution and ``stokes_structure`` are
 finite or raise on any complex argument, infinite and NaN ones included.
+The equation's right-hand side, the Backlund step and the grid residual
+are finite or raise on any finite state, and ``from_branch`` on any set of
+free coordinates, missing ones included.
 """
 
 import cmath
@@ -32,6 +35,7 @@ from dp3.asymptotics import (
     u_large,
     u_small,
 )
+from dp3.backlund import backlund_step
 from dp3.errors import DP3Error
 from dp3.monodromy import (
     MonodromyPoint,
@@ -47,11 +51,13 @@ from dp3.monodromy import (
 from dp3.ode import (
     SolutionState,
     algebraic_solution,
+    dp3_rhs,
     hamiltonian_abcd,
     hamiltonian_pq,
     hamiltonian_system_rhs,
     hamiltonian_u,
     p_from_u,
+    residual_on_grid,
     sigma_and_f,
     to_abcd,
 )
@@ -200,3 +206,35 @@ def test_special_functions_algebraic_solution_and_stokes_return_finite_values_or
     if stokes is not None:
         matrices = (*stokes.s_zero.values(), *stokes.s_inf.values(), stokes.m_zero, stokes.m_inf)
         assert all(np.isfinite(m).all() for m in matrices), (pt, k_max)
+
+
+BRANCH_FREE = st.dictionaries(st.sampled_from(("s00", "g11", "g12", "g21", "g22")), COORD)
+GRID = np.linspace(1.0, 2.0, 5) + 0j
+FINITE_STATE = st.builds(SolutionState, COORD, COORD, COORD)
+
+
+# dp3_rhs returned (1e200, inf+nanj); backlund_step raised a raw
+# ZeroDivisionError where u*u underflows; residual_on_grid returned NaN at
+# an interior u = 0 and inf at |u| = 1e300; from_branch raised a raw
+# KeyError for a missing coordinate and a raw ValueError for a huge Im a
+@example(SolutionState(1 + 0j, 1e-300 + 0j, 1e200 + 0j), 0j, PARAMS_1, 1 + 0j, 1, {})
+@example(SolutionState(1 + 0j, 1e-200 + 0j, 0j), 0j, PARAMS_1, 1 + 0j, 1, {})
+@example(SolutionState(1 + 0j, 1 + 0j, 0j), 0j, PARAMS_1, 0j, 1, {})
+@example(SolutionState(1 + 0j, 1 + 0j, 0j), 0j, PARAMS_1, 1e300 + 0j, 1, {})
+@example(SolutionState(1 + 0j, 1 + 0j, 0j), 0j, PARAMS_1, 1 + 0j, 1, {"g11": 1 + 0j})
+@example(SolutionState(1 + 0j, 1 + 0j, 0j), 1e308j, PARAMS_1, 1 + 0j, 2,
+         {"s00": 1 + 0j, "g22": 1 + 0j})
+@settings(max_examples=200, deadline=None,
+          phases=[p for p in Phase if p is not Phase.explain])
+@given(FINITE_STATE, COORD, PARAMS, COORD, st.sampled_from((1, 2, 3)), BRANCH_FREE)
+def test_rhs_backlund_step_grid_residual_and_branches_return_finite_values_or_raise(
+        state, a, params, u_mid, branch, free):
+    call(dp3_rhs, state, a, params)
+    for direction in ("up", "down"):
+        try:
+            image, a_new = backlund_step(state, a, params, direction)
+        except DP3Error:
+            continue
+        assert finite(image) and cmath.isfinite(a_new), (state, a, direction, image, a_new)
+    call(residual_on_grid, GRID, np.array([1, 1, u_mid, 1, 1], dtype=complex), a, params)
+    call(lambda: from_branch(branch, a, **free))

@@ -1,7 +1,13 @@
 """Formulas written once in the package source: theta's coefficient, the
 Backlund step's up/down formula and its monodromy shadow's.  The down
 direction of each is the up formula with signs flipped, not a second
-copy, so a change to either direction is one edit."""
+copy, so a change to either direction is one edit.
+
+So are the conventions that the charts, the seeds, the fit, the sampler
+and the Hamiltonians share, each on one line of its home: the ray phase
+e^{i pi eps1}, the large-argument scale, the strip test, nu + 1, the
+sector's shifted a and its i-multiple, and the small charts' log-branch
+brackets and exponent."""
 
 import re
 from pathlib import Path
@@ -30,3 +36,34 @@ def test_backlund_step_formula_written_once_in_source():
 def test_backlund_monodromy_written_once_in_source():
     assert files_with_lines_matching(r"-pt\.s00, pt\.s0inf, pt\.s1inf") == ["monodromy.py"]
     assert files_with_lines_matching(r"pt\.a \+ 1j") == []
+
+
+def test_ray_phase_written_once_in_source():
+    assert files_with_lines_matching(r"1j \* math\.pi \* (args\.)?eps1\b") == ["asymptotics.py"]
+
+
+def test_large_tau_scale_written_once_in_source():
+    assert files_with_lines_matching(r"math\.sqrt\(\w+\.abs_coupling\) / 3\.0 \*\* 0\.25") \
+        == ["asymptotics.py"]
+
+
+def test_strip_test_written_once_in_source():
+    assert files_with_lines_matching(r"1\.0 / 6\.0") == ["asymptotics.py"]
+
+
+def test_nu_plus_1_written_once_in_source():
+    assert files_with_lines_matching(r"0\.5j / math\.pi \* cmath\.log") == ["monodromy.py"]
+
+
+def test_shifted_a_and_its_i_multiple_written_once_in_source():
+    assert files_with_lines_matching(r"- 0\.5j( \*|$)") == ["params.py"]
+    assert files_with_lines_matching(r"\* 1j \+ 0\.5") == ["params.py"]
+
+
+def test_log_branch_brackets_written_once_in_source():
+    assert files_with_lines_matching(r"b2(_second)? \* (math\.log\(m\)|log_m)") \
+        == ["asymptotics.py"]
+
+
+def test_small_chart_exponent_written_once_in_source():
+    assert files_with_lines_matching(r"\ba \* \(\w+\.a - ") == ["asymptotics.py"]
