@@ -74,15 +74,24 @@ def _ray_phase(eps1: int) -> complex:
     return cmath.exp(1j * math.pi * eps1)
 
 
+def _ray_sign(eps1: int) -> float:
+    return (-1.0) ** (eps1 % 2)
+
+
 def _large_scale(params: EquationParams, eps1: int) -> float:
     """C = (-1)^eps1 eps sqrt|eps b| / 3^{1/4}, the scale of u at large |tau|."""
-    return ((-1.0) ** (eps1 % 2)) * params.eps * math.sqrt(params.abs_coupling) / 3.0 ** 0.25
+    return _ray_sign(eps1) * params.eps * math.sqrt(params.abs_coupling) / 3.0 ** 0.25
+
+
+def _weight_scale(nu_plus_1: complex) -> complex:
+    """sqrt(nu+1) e^{3 i pi/4}: u's oscillation weights are C times it times e^{+-z} / 2."""
+    return cmath.sqrt(nu_plus_1) * cmath.exp(0.75j * math.pi)
 
 
 def _cbrt_on_ray(eps1: int, m: float) -> complex:
     """tau^{1/3} for tau = m e^{i pi eps1}: negative cube roots taken
     real and negative."""
-    return (-1.0) ** (eps1 % 2) * m ** (1.0 / 3.0)
+    return _ray_sign(eps1) * m ** (1.0 / 3.0)
 
 
 @dataclass(frozen=True)
@@ -164,7 +173,7 @@ def _special_oscillation(chart: LargeTauChart, m: float) -> complex:
     """Oscillatory term of the degenerate (triangular-G) charts."""
     P = chart.params
     theta = _theta(P, m)
-    coeff = ((-1.0) ** (chart.eps1 % 2)) * P.eps * math.sqrt(P.abs_coupling) \
+    coeff = _ray_sign(chart.eps1) * P.eps * math.sqrt(P.abs_coupling) \
         * (chart.s00 - 1j * cmath.exp(-P.sign2 * math.pi * chart.a)) \
         / (2.0 ** 1.5 * 3.0 ** 0.25 * math.sqrt(math.pi))
     ratio = (_SQRT3 - 1.0) / (_SQRT3 + 1.0)
@@ -190,7 +199,7 @@ def u_large(chart: LargeTauChart, tau_abs: float) -> complex:
             "use the triangular special charts")
     theta = _theta(P, m)
     return _large_scale(P, chart.eps1) \
-        * (cmath.sqrt(theta / 12.0) + cmath.sqrt(chart.nu_plus_1) * cmath.exp(0.75j * math.pi)
+        * (cmath.sqrt(theta / 12.0) + _weight_scale(chart.nu_plus_1)
            * cmath.cosh(1j * theta + chart.nu_plus_1 * cmath.log(theta) + chart.z))
 
 
@@ -238,18 +247,14 @@ def small_tau_chart(pt: MonodromyPoint, eps1: int, params: EquationParams) -> Sm
     if abs(s00 - 2j) <= _ZERO_TOL:
         if a == 0:
             raise ConditionViolationError("logarithmic chart needs a != 0")
-        Qp = _q_factor(params, s * a)
-        Qm = _q_factor(params, -s * a)
-        chi1_0 = _chi(g11, g21, 0.0)
-        chi2_0 = _chi(g12, g22, 0.0)
-        a2 = chi1_0 * (1.0 - s * 0.5j * a * Qp) \
-            + s * (math.pi * a / 4.0) * (g21 * cmath.exp(-0.25j * math.pi)
-                                         - 3.0 * g11 * cmath.exp(0.25j * math.pi))
-        b2 = s * 1j * a * chi1_0
-        a2s = chi2_0 * (1.0 + s * 0.5j * a * Qm) \
-            + s * (math.pi * a / 4.0) * (g12 * cmath.exp(0.25j * math.pi)
-                                         - 3.0 * g22 * cmath.exp(-0.25j * math.pi))
-        b2s = -s * 1j * a * chi2_0
+        # the second bracket is the first with (g11, g21, Q(s a), +) -> (g22, g12, Q(-s a), -)
+        (a2, b2), (a2s, b2s) = (
+            (chi0 * (1.0 - sg * s * 0.5j * a * _q_factor(params, sg * s * a))
+             + s * (math.pi * a / 4.0) * (g_b * cmath.exp(-sg * 0.25j * math.pi)
+                                          - 3.0 * g_a * cmath.exp(sg * 0.25j * math.pi)),
+             sg * s * 1j * a * chi0)
+            for g_a, g_b, sg, chi0 in ((g11, g21, 1, _chi(g11, g21, 0.0)),
+                                       (g22, g12, -1, _chi(g12, g22, 0.0))))
         pref = s * params.b * cmath.exp(s * math.pi * a / 2.0) \
             / (2.0 * a * cmath.sinh(math.pi * a / 2.0))
         return SmallTauChart(params, eps1, a, 0.0j, True,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -87,10 +88,13 @@ def ladder(seed: SolutionState, a0: complex, params: EquationParams, n_max: int,
 
     When ``seed_eval`` is given (a closed-form or numeric evaluator of the
     seed solution on its ray) the seed is residual-checked against the
-    equation before climbing.  ``tau = 0`` raises ``SingularityError``; a
-    rung that overflows or is not finite (for example at a huge or tiny
-    |tau|) raises ``LadderBreakdownError``.
+    equation before climbing.  An ``n_max`` that is not a non-negative
+    integer raises ``ConditionViolationError`` and ``tau = 0``
+    ``SingularityError``; a rung that overflows or is not finite (for
+    example at a huge or tiny |tau|) raises ``LadderBreakdownError``.
     """
+    if not (isinstance(n_max, numbers.Integral) and n_max >= 0):
+        raise ConditionViolationError(f"n_max = {n_max!r} must be a non-negative integer")
     tau = seed.tau
     if tau == 0:
         raise SingularityError("tau = 0 is a singular point of the equation")
@@ -168,8 +172,13 @@ def lattice_residuals(entries: list[LadderEntry], which: str, a0: complex,
                second derivatives by finite differences over re-evaluated
                ladders at tau +- h, so this needs ``seed_eval``.
 
-    Raises ``ConditionViolationError`` when a residual is not finite (for
+    Raises ``ConditionViolationError`` for an empty ladder or an unknown
+    identity, before any residual, and when a residual is not finite (for
     example at a tiny |tau|)."""
+    if not entries:
+        raise ConditionViolationError("lattice residuals need at least one ladder entry")
+    if which not in ("km", "dp", "f_rec", "toda"):
+        raise ConditionViolationError(f"unknown lattice identity {which!r}")
     out = _lattice_residuals(entries, which, a0, params, seed_eval)
     if not all(math.isfinite(r) for _, r in out):
         raise ConditionViolationError(
@@ -230,13 +239,11 @@ def _lattice_residuals(entries, which, a0, params, seed_eval):
             rhs = (params.eps * params.b / (4.0 * tau * tau)) \
                 * (params.b + 2.0 * (a0 - 1j * n) * e.v)
             out.append((n, abs(lhs - rhs)))
-        elif which == "f_rec":
+        else:  # f_rec
             if e.f is None or ep.f is None or em.f is None:
                 continue
             lhs = 2.0 * e.f * (ep.f + e.f + (1j * a0 + n + 1)) * (e.f + em.f + (1j * a0 + n))
             out.append((n, abs(lhs - ieb * tau * tau)))
-        else:
-            raise ConditionViolationError(f"unknown lattice identity {which!r}")
     return out
 
 

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _EXPORTS
-from .asymptotics import (_large_scale, _ray_phase, _theta, du_small, large_tau_chart,
-                          small_tau_chart, u_small)
+from .asymptotics import (_large_scale, _ray_phase, _theta, _weight_scale, du_small,
+                          large_tau_chart, small_tau_chart, u_small)
 from .errors import ConditionViolationError
 from .monodromy import MonodromyPoint
 from .ode import SolutionState, Trajectory, integrate_ray
@@ -27,6 +27,7 @@ from .params import EquationParams
 __all__ = _EXPORTS["connection"]
 
 _TWO_PI = 2.0 * math.pi
+_THETA_MIN = 50.0  # every fit window lies above theta = 50
 
 
 @dataclass(frozen=True)
@@ -72,9 +73,10 @@ def fit_large_tau(traj: Trajectory, params: EquationParams,
         ph = traj.tau[0] / m[0]
         eps1 = int(round(cmath.phase(ph) / math.pi))
     theta = _theta(params, m)
-    if theta.min() < 50.0:
+    if theta.min() < _THETA_MIN:
         raise ConditionViolationError(
-            f"fit window starts at |tau| = {m.min():.4g} (theta = {theta.min():.1f} < 50); "
+            f"fit window starts at |tau| = {m.min():.4g} "
+            f"(theta = {theta.min():.1f} < {_THETA_MIN:g}); "
             f"it must start at |tau| >= {_theta_floor(params):.4g}")
     C = _large_scale(params, eps1)
     osc = np.asarray(traj.u, dtype=complex) / C - np.sqrt(theta / 12.0)
@@ -128,8 +130,8 @@ def fit_large_tau(traj: Trajectory, params: EquationParams,
     if osc_amp < 1e-8 * (1.0 + amp):
         # power tail only: degenerate-chart candidate
         return LargeTauFit(0.0j, 0.0j, res_norm, cond, osc_amp, True)
-    # weights: w+- = sqrt(nu+1) e^{3 i pi / 4} e^{+-z} / 2
-    pref = cmath.sqrt(nu1) * cmath.exp(0.75j * math.pi) / 2.0
+    # weights: w+- = _weight_scale(nu + 1) e^{+-z} / 2
+    pref = _weight_scale(nu1) / 2.0
     if pref == 0 or sol[0] == 0 or sol[1] == 0:
         return LargeTauFit(nu1, 0.0j, res_norm, cond, osc_amp, True)
     z_plus = cmath.log(sol[0] / pref)
@@ -309,7 +311,8 @@ def verify_connection(pt: MonodromyPoint, params: EquationParams,
     if tau1 / halvings < floor:
         raise ConditionViolationError(
             f"the smallest fit window ends at tau1 / 2**(tau1_steps - 1) = {tau1 / halvings:.4g}, "
-            f"below the theta > 50 floor |tau| = {floor:.4g}; with tau1_steps = {tau1_steps} "
+            f"below the theta > {_THETA_MIN:g} floor |tau| = {floor:.4g}; "
+            f"with tau1_steps = {tau1_steps} "
             f"the smallest admissible tau1 is {floor * halvings:.1f}")
     tau1_list = [tau1 / 2.0**k for k in range(tau1_steps - 1, -1, -1)]
     grid = np.concatenate([np.linspace(max(t1 / 8.0, floor), t1, 240) for t1 in tau1_list])
@@ -351,4 +354,4 @@ def verify_connection(pt: MonodromyPoint, params: EquationParams,
 def _theta_floor(params: EquationParams) -> float:
     """Smallest |tau| with theta(|tau|) > 50 (fit-window precondition),
     from theta at |tau| = 1, where 1.0 ** (2/3) is exactly 1."""
-    return (50.0 / _theta(params, 1.0)) ** 1.5 * 1.02
+    return (_THETA_MIN / _theta(params, 1.0)) ** 1.5 * 1.02

@@ -277,9 +277,14 @@ def stokes_structure(pt: MonodromyPoint, k_min: int = 0, k_max: int = 3) -> Stok
     """Stokes matrices for indices ``k_min..k_max`` at infinity (the window
     at the origin is clipped to at most two indices, one full period) and
     the monodromy matrices built from the canonical factors, each a complex
-    2x2 array.  An overflow or a non-finite entry raises
-    ``ConditionViolationError``."""
+    2x2 array.  A ``k_min`` or ``k_max`` that is not an integer, an
+    overflow or a non-finite entry raises ``ConditionViolationError``."""
+    import numbers
+
     import numpy as np
+
+    if not (isinstance(k_min, numbers.Integral) and isinstance(k_max, numbers.Integral)):
+        raise ConditionViolationError("k_min and k_max must be integers")
 
     def array(m: tuple) -> np.ndarray:
         return np.array(m, dtype=complex)

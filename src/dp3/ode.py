@@ -180,14 +180,18 @@ def hamiltonian_system_rhs(p: complex, q: complex, tau: complex, a: complex,
     return dp, dq
 
 
+def _momentum(tau, u, du, k: complex, params: EquationParams, eps1_h: int) -> complex:
+    """p = tau (u' - i b) / (2 u^2) + k eps1_h / u at the channel constant k."""
+    return tau * (du - 1j * params.b) / (2.0 * u * u) + k * eps1_h / u
+
+
 @errors.finite_result
 def p_from_u(state: SolutionState, a: complex, params: EquationParams,
              eps1_h: int = -1) -> complex:
     """Conjugate momentum for q = u (same sector constant as the
     Hamiltonian channel)."""
     tau, u, du = _check_state(state)
-    k = _shifted_ai(a, params.sign2)
-    return tau * (du - 1j * params.b) / (2.0 * u * u) + k * eps1_h / u
+    return _momentum(tau, u, du, _shifted_ai(a, params.sign2), params, eps1_h)
 
 
 @errors.finite_result
@@ -202,7 +206,7 @@ def sigma_and_f(state: SolutionState, a: complex, params: EquationParams) -> tup
     eps1_h = -1
     tau, u, du = _check_state(state)
     k = _shifted_ai(a, 1)
-    p = tau * (du - 1j * params.b) / (2.0 * u * u) + k * eps1_h / u
+    p = _momentum(tau, u, du, k, params, eps1_h)
     q = u
     f = p * q / 2.0
     sigma = (p * q - eps1_h * (k - eps1_h / 2.0)) ** 2 \
@@ -305,6 +309,13 @@ def integrate_ray(initial: SolutionState, a: complex, params: EquationParams,
     (``nsteps``), right-hand-side calls (``nfev``), the smallest and largest
     accepted step, the smallest and largest ``|u|`` at the seed and the
     accepted steps, and the wall time of the call.
+
+    ``tol`` controls each step's local error, not the global error, which
+    after a near-zero of u can be orders larger: on arg tau = pi/2 the
+    path of the second generic point of ``tests/test_taylor_oracle.py``
+    passes |u| = 0.006 at |tau| = 8.6, and at |tau| = 10 its relative
+    error is 114 tol at tol 1e-10 and 2.3e3 tol at tol 1e-8.  A small
+    ``u_abs_min`` on the trajectory shows such an approach.
 
     The equation is not called per stage: the fused kernels of
     ``_fused_kernels`` evaluate ``_DDU`` inline with this ray's phase and

@@ -507,3 +507,30 @@ def test_fit_csv_missing_column_exit2(tmp_path, capsys):
     code, out, err = run_cli(capsys, ["fit", "--csv", str(csv_path), "--eps", "1", "--b", "1"])
     assert code == 2 and out == "" and len(err.splitlines()) == 1
     _assert_json_error(err, "validation")
+
+
+def test_chart_small_generic_branch_matches_library(point_file, capsys):
+    path, pt = point_file
+    code, out, _ = run_cli(capsys, ["chart", "small", "--point", path, "--eps", "1", "--b", "1"])
+    assert code == 0
+    ch = small_tau_chart(pt, 0, EquationParams.make(1, 1.0))
+    assert not ch.log_mode
+
+    def cpx(v):
+        return [v.real, v.imag]
+
+    assert json.loads(out) == {
+        "log_mode": False, "rho": cpx(ch.rho),
+        "p": [cpx(v) for v in (ch.p_plus, ch.p_minus, ch.q_plus, ch.q_minus)],
+        "chi1": [cpx(ch.chi1_plus), cpx(ch.chi1_minus)],
+        "chi2": [cpx(ch.chi2_plus), cpx(ch.chi2_minus)]}
+
+
+def test_eval_H_small_matches_library(point_file, capsys):
+    from dp3.asymptotics import H_small
+    path, pt = point_file
+    code, out, _ = run_cli(capsys, ["eval", "H", "--regime", "small", "--tau", "0.01",
+                                    "--point", path, "--eps", "1", "--b", "1"])
+    assert code == 0
+    val = H_small(small_tau_chart(pt, 0, EquationParams.make(1, 1.0)), 0.01)
+    assert json.loads(out) == [val.real, val.imag]

@@ -11,16 +11,18 @@ grows more: on the same three points, seeded from the small chart at
 |tau| = 0.02, the largest relative error in u up to |tau| = 10 was, at
 tol 1e-10 and 1e-12,
 
-    negative real ray        0.86, 0.67 | 10.9, 17.9 | 1.71, 1.39  (x tol)
+    negative real ray        0.86, 0.66 | 10.9, 19.7 | 1.71, 1.39  (x tol)
     arg tau = pi/2, eps b<0  0.86, 0.74 |  114, 11.5 | 16.1, 22.4  (x tol)
 
 (the imaginary ray and the negative coupling agree to three digits: the
 quarter rotation flips the coupling's sign).  Those rays are bounded at
-about three times the largest ratio seen.  The oracle agrees with 45 terms
-at 40 digits to 5e-15, except on the negative ray's second point, whose
-path passes |u| = 2e3: there the 30-term steps are off by up to 2.4e-12,
-and against 60 terms at 50 digits the integrator's error is 10.9 and 19.7
-tol."""
+about three times the largest ratio seen.
+
+The oracle's 33 terms at 25 digits, in steps of 0.25 of the estimated
+radius, agree with 60 terms at 50 digits to 7e-15 relative on all twelve
+cases.  The hardest is the negative ray's second point, whose path passes
+|u| = 2e3: there 30 terms were off by 2.4e-12 at 25 digits and at 40, and
+32 terms by 6e-14."""
 
 import mpmath
 import pytest
@@ -35,7 +37,7 @@ P1 = EquationParams.make(1, 1.0)
 P_NEG = EquationParams.make(-1, 1.0)
 TAU0, TAU_END = 0.02, 10.0
 SAMPLES = (0.5, 1.0, 2.0, 5.0, 10.0)
-TERMS, DIGITS, STEP = 30, 25, 0.25
+TERMS, DIGITS, STEP = 33, 25, 0.25
 
 
 def taylor_coefficients(tc, u0, du0, ab2, eps8, b2, terms):

@@ -5,9 +5,11 @@ copy, so a change to either direction is one edit.
 
 So are the conventions that the charts, the seeds, the fit, the sampler
 and the Hamiltonians share, each on one line of its home: the ray phase
-e^{i pi eps1}, the large-argument scale, the strip test, nu + 1, the
-sector's shifted a and its i-multiple, and the small charts' log-branch
-brackets and exponent."""
+e^{i pi eps1} and the ray sign (-1)^eps1, the large-argument scale and
+the oscillation weights' scale, the strip test, nu + 1, the sector's
+shifted a and its i-multiple, the canonical momentum, the small charts'
+log-branch brackets, their constants and exponent, and the fit's
+theta > 50 floor."""
 
 import re
 from pathlib import Path
@@ -67,3 +69,24 @@ def test_log_branch_brackets_written_once_in_source():
 
 def test_small_chart_exponent_written_once_in_source():
     assert files_with_lines_matching(r"\ba \* \(\w+\.a - ") == ["asymptotics.py"]
+
+
+def test_ray_sign_written_once_in_source():
+    assert files_with_lines_matching(r"\(-1(\.0)?\) \*\* ") == ["asymptotics.py"]
+
+
+def test_oscillation_weight_scale_written_once_in_source():
+    assert files_with_lines_matching(r"0\.75j \* math\.pi") == ["asymptotics.py"]
+
+
+def test_canonical_momentum_written_once_in_source():
+    assert files_with_lines_matching(r"\(du - 1j \* \w+\.b\) / \(2\.0 \* u \* u\)") == ["ode.py"]
+
+
+def test_log_branch_constants_written_once_in_source():
+    assert files_with_lines_matching(r"0\.5j \* a \* ") == ["asymptotics.py"]
+    assert files_with_lines_matching(r"1j \* a \* chi") == ["asymptotics.py"]
+
+
+def test_theta_floor_written_once_in_source():
+    assert files_with_lines_matching(r"\b50\.0\b") == ["connection.py"]
