@@ -6,14 +6,20 @@ tau-function form, and the cross-ray connection identities).
 
 A "chart" fixes the ray label ``eps1``, the equation parameters,
 and the handful of complex constants entering the formulas; evaluators
-then take only the positive magnitude ``|tau|``.
+then take only the positive magnitude ``|tau|``.  Each chart also keeps
+what its evaluators derive from those fields alone (the ray phase, the
+scales, the bracket coefficients), built once in ``__post_init__``.  Each
+such constant is a left prefix of the product or sum that reads it, or a
+factor evaluated on its own, so keeping it changes no evaluator's float.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+import struct
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 # the errors module, not its decorator: perfbench/tracer.py wraps the
 # functions bound in this namespace and looks each up in its own module
@@ -29,11 +35,17 @@ _SQRT3 = math.sqrt(3.0)
 _LN_2_PLUS_SQRT3 = math.log(2.0 + _SQRT3)
 _EULER_PSI1 = -0.5772156649015328606
 _ZERO_TOL = 1e-12
+_NAN = complex(math.nan, math.nan)
+
+
+def _theta_scale(params: EquationParams) -> float:
+    """3 sqrt(3) |eps b|^{1/3}, theta at |tau| = 1."""
+    return 3.0 * _SQRT3 * params.abs_coupling ** (1.0 / 3.0)
 
 
 def _theta(params: EquationParams, m):
     """theta at a magnitude m, a float or an array, unchecked."""
-    return 3.0 * _SQRT3 * params.abs_coupling ** (1.0 / 3.0) * m ** (2.0 / 3.0)
+    return _theta_scale(params) * m ** (2.0 / 3.0)
 
 
 def theta_phase(params: EquationParams, tau_abs: float) -> float:
@@ -94,6 +106,33 @@ def _cbrt_on_ray(eps1: int, m: float) -> complex:
     return _ray_sign(eps1) * m ** (1.0 / 3.0)
 
 
+def _or_nan(f, *args) -> complex:
+    """``f(*args)``, or a complex NaN where its arithmetic overflows: the
+    chart still builds, and each evaluator that reads the constant raises,
+    as it would forming the constant itself."""
+    try:
+        return f(*args)
+    except ArithmeticError:
+        return _NAN
+
+
+class _LargeConstants(NamedTuple):
+    """A large chart's derived constants.  A tuple, so that the charts'
+    finiteness check, which reads number fields, leaves them out."""
+
+    phase: complex  # e^{i pi eps1}
+    theta_scale: float  # _theta_scale
+    scale: float  # _large_scale
+    weight: complex  # _weight_scale(nu + 1)
+    algebraic: float  # eps (eps b)^{2/3}, the special charts' cube-root coefficient
+    oscillation: complex | None  # the special charts' oscillation coefficient
+    # H_large = h_cbrt tau^{1/3} + h_inv_cbrt / tau^{1/3} h_nu + h_inv / (2 tau)
+    h_cbrt: float  # 3 (eps b)^{2/3}
+    h_inv_cbrt: float  # 2 |eps b|^{1/3}
+    h_nu: complex  # a_shifted - 2 sqrt(3) i (nu + 1)
+    h_inv: complex  # a_shifted^2
+
+
 @dataclass(frozen=True)
 class LargeTauChart:
     """Parameters of the large-argument expansion on one ray."""
@@ -106,6 +145,31 @@ class LargeTauChart:
     omega: complex | None
     z: complex | None
     s00: complex
+    _k: _LargeConstants = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        P = self.params
+        b23 = P.coupling_pow23
+        ash = _shifted_a(self.a, P.sign2)
+        self.__dict__["_k"] = _LargeConstants(
+            _ray_phase(self.eps1), _theta_scale(P), _large_scale(P, self.eps1),
+            _weight_scale(self.nu_plus_1), P.eps * b23,
+            None if self.special == "none" else _or_nan(_special_coefficient, self),
+            3.0 * b23, 2.0 * P.abs_coupling ** (1.0 / 3.0),
+            ash - 2.0 * _SQRT3 * 1j * self.nu_plus_1, ash * ash)
+
+
+class _SmallConstants(NamedTuple):
+    """A small chart's derived constants (the last four off the log branch
+    only).  A tuple, so that the charts' finiteness check leaves them out."""
+
+    phase: complex  # e^{i pi eps1}
+    exponent: complex  # _small_exponent
+    two_rho: complex | None = None  # 2 rho
+    # p+ chi1+, p- chi1-, q+ e^{-i pi rho} chi2+, q- e^{i pi rho} chi2-
+    brackets: tuple | None = None
+    e_a: complex | None = None  # e^{(-1)^eps2 pi a / 2}, u_small's factor
+    du_scale: complex | None = None  # (-1)^eps2 b / (16 pi) e^{(-1)^eps2 pi a / 2}
 
 
 @dataclass(frozen=True)
@@ -133,6 +197,22 @@ class SmallTauChart:
     a2_second: complex | None = None
     b2_second: complex | None = None
     prefactor: complex | None = None
+    _k: _SmallConstants = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        phase, exponent = _ray_phase(self.eps1), _small_exponent(self)
+        if self.log_mode:
+            k = _SmallConstants(phase, exponent)
+        else:
+            P, rho = self.params, self.rho
+            s = P.sign2
+            e_a = _or_nan(cmath.exp, s * math.pi * self.a / 2.0)
+            brackets = (self.p_plus * self.chi1_plus, self.p_minus * self.chi1_minus,
+                        self.q_plus * cmath.exp(-1j * math.pi * rho) * self.chi2_plus,
+                        self.q_minus * cmath.exp(1j * math.pi * rho) * self.chi2_minus)
+            k = _SmallConstants(phase, exponent, 2.0 * rho, brackets,
+                                e_a, s * P.b / (16.0 * math.pi) * e_a)
+        self.__dict__["_k"] = k
 
 
 def _mapped_g(pt: MonodromyPoint, eps1: int, params: EquationParams):
@@ -169,62 +249,75 @@ def large_tau_chart(pt: MonodromyPoint, eps1: int, params: EquationParams) -> La
     return LargeTauChart(params, eps1, a, "none", nu1, omega, z, s00)
 
 
-def _special_oscillation(chart: LargeTauChart, m: float) -> complex:
-    """Oscillatory term of the degenerate (triangular-G) charts."""
+def _special_coefficient(chart: LargeTauChart) -> complex:
+    """The degenerate (triangular-G) charts' oscillation coefficient: their
+    oscillatory term is this times e^{-i (theta - pi/4)} (g21 = 0) or
+    e^{i (theta + 3 pi/4)} (g12 = 0)."""
     P = chart.params
-    theta = _theta(P, m)
     coeff = _ray_sign(chart.eps1) * P.eps * math.sqrt(P.abs_coupling) \
         * (chart.s00 - 1j * cmath.exp(-P.sign2 * math.pi * chart.a)) \
         / (2.0 ** 1.5 * 3.0 ** 0.25 * math.sqrt(math.pi))
     ratio = (_SQRT3 - 1.0) / (_SQRT3 + 1.0)
-    if chart.special == "g21_zero":
-        return coeff * cmath.exp(P.sign2 * 1j * chart.a * math.log(ratio)) \
-            * cmath.exp(-1j * (theta - math.pi / 4.0))
-    return coeff * cmath.exp(P.sign2 * 1j * chart.a * math.log(1.0 / ratio)) \
-        * cmath.exp(1j * (theta + 3.0 * math.pi / 4.0))
+    log_ratio = math.log(ratio) if chart.special == "g21_zero" else math.log(1.0 / ratio)
+    return coeff * cmath.exp(P.sign2 * 1j * chart.a * log_ratio)
 
 
 @errors.finite_result
 def u_large(chart: LargeTauChart, tau_abs: float) -> complex:
     """Leading large-argument value at |tau| = tau_abs on the chart's ray
     (all dropped correction terms set to zero)."""
-    P = chart.params
+    k = chart._k
     m = _magnitude(tau_abs)
+    theta = k.theta_scale * m ** (2.0 / 3.0)
     if chart.special != "none":
-        algebraic = P.eps * P.coupling_pow23 * _cbrt_on_ray(chart.eps1, m) / 2.0
-        return algebraic + _special_oscillation(chart, m)
+        phi = -1j * (theta - math.pi / 4.0) if chart.special == "g21_zero" \
+            else 1j * (theta + 3.0 * math.pi / 4.0)
+        return k.algebraic * _cbrt_on_ray(chart.eps1, m) / 2.0 + k.oscillation * cmath.exp(phi)
     if chart.nu_plus_1 == 0 or chart.z is None:
         raise ConditionViolationError(
             "degenerate chart: nu + 1 = 0 with nontrivial off-diagonal entries; "
             "use the triangular special charts")
-    theta = _theta(P, m)
-    return _large_scale(P, chart.eps1) \
-        * (cmath.sqrt(theta / 12.0) + _weight_scale(chart.nu_plus_1)
-           * cmath.cosh(1j * theta + chart.nu_plus_1 * cmath.log(theta) + chart.z))
+    return k.scale * (cmath.sqrt(theta / 12.0) + k.weight
+                      * cmath.cosh(1j * theta + chart.nu_plus_1 * cmath.log(theta) + chart.z))
 
 
 @errors.finite_result
 def H_large(chart: LargeTauChart, tau_abs: float) -> complex:
     """Leading Hamiltonian value on the chart's ray; the degenerate charts
     share the generic formula with nu + 1 = 0."""
-    P = chart.params
+    k = chart._k
     m = _magnitude(tau_abs)
-    tau = _ray_phase(chart.eps1) * m
-    ash = _shifted_a(chart.a, P.sign2)
     t13 = _cbrt_on_ray(chart.eps1, m)
-    return 3.0 * P.coupling_pow23 * t13 \
-        + 2.0 * P.abs_coupling ** (1.0 / 3.0) / t13 * (ash - 2.0 * _SQRT3 * 1j * chart.nu_plus_1) \
-        + ash * ash / (2.0 * tau)
+    return k.h_cbrt * t13 + k.h_inv_cbrt / t13 * k.h_nu + k.h_inv / (2.0 * (k.phase * m))
+
+
+# The values of _p_factors by the exact bits of (|eps b|, z2, z1), so that
+# +0.0 and -0.0 stay apart.  The small charts of one point on the real and
+# the imaginary rays read the same {+-rho} x {+-a} values.  The memo holds
+# at most _P_MEMO_SIZE values and is emptied when a call would overfill it.
+_P_MEMO: dict[bytes, complex] = {}
+_P_MEMO_SIZE = 16
+_P_KEY = struct.Struct("5d").pack
 
 
 def _p_factors(params: EquationParams, z2: complex, z1s: tuple) -> list[complex]:
     """The small-argument expansion's gamma-ratio coefficients p(z1, z2),
-    one per z1 in ``z1s``."""
+    one per z1 in ``z1s``.  Values come from ``_P_MEMO`` when all of them
+    are there, and are the floats the computation below gives; a call that
+    raises stores nothing."""
+    keys = [_P_KEY(params.abs_coupling, z2.real, z2.imag, z1.real, z1.imag) for z1 in z1s]
+    found = [_P_MEMO.get(key) for key in keys]
+    if None not in found:
+        return found
     base = cmath.log(params.abs_coupling / 32.0) + 0.5j * math.pi
     ratio = gamma(0.5 - z2) / gamma(1.0 + z2)
     w = cmath.exp(z2 * base) * ratio * ratio
     t = cmath.tan(math.pi * z2)
-    return [w * gamma(1.0 + z2 + 0.5j * z1) / t for z1 in z1s]
+    values = [w * gamma(1.0 + z2 + 0.5j * z1) / t for z1 in z1s]
+    if len(_P_MEMO) + len(keys) > _P_MEMO_SIZE:
+        _P_MEMO.clear()
+    _P_MEMO.update(zip(keys, values))
+    return values
 
 
 def _chi(ga: complex, gb: complex, z: complex) -> complex:
@@ -289,16 +382,15 @@ def _small_brackets(chart: SmallTauChart, m: float):
     """(F1, F2) and their rho-odd partners at |tau| = m.  The +-rho powers
     are evaluated as exponentials of exactly negated arguments so that the
     rho -> -rho swap is a bitwise symmetry of the result."""
-    rho = chart.rho
-    x = 2.0 * rho * math.log(m)
+    k = chart._k
+    c1p, c1m, c2p, c2m = k.brackets
+    x = k.two_rho * math.log(m)
     mp = cmath.exp(x)
     mm = cmath.exp(-x)
-    e_m = cmath.exp(-1j * math.pi * rho)
-    e_p = cmath.exp(1j * math.pi * rho)
-    t1p = chart.p_plus * chart.chi1_plus * mp
-    t1m = chart.p_minus * chart.chi1_minus * mm
-    t2p = chart.q_plus * e_m * chart.chi2_plus * mp
-    t2m = chart.q_minus * e_p * chart.chi2_minus * mm
+    t1p = c1p * mp
+    t1m = c1m * mm
+    t2p = c2p * mp
+    t2m = c2m * mm
     return t1p + t1m, t2p + t2m, t1p - t1m, t2p - t2m
 
 
@@ -317,51 +409,50 @@ def _small_exponent(chart: SmallTauChart) -> complex:
 @errors.finite_result
 def u_small(chart: SmallTauChart, tau_abs: float) -> complex:
     """Leading small-argument value at |tau| = tau_abs on the chart's ray."""
-    P = chart.params
+    k = chart._k
     m = _magnitude(tau_abs)
-    tau = _ray_phase(chart.eps1) * m
+    tau = k.phase * m
     if chart.log_mode:
         L1, L2 = _log_brackets(chart, m)
         return chart.prefactor * tau * L1 * L2
     F1, F2, _, _ = _small_brackets(chart, m)
-    s = P.sign2
-    return s * tau * P.b / (16.0 * math.pi) * cmath.exp(s * math.pi * chart.a / 2.0) * F1 * F2
+    P = chart.params
+    return P.sign2 * tau * P.b / (16.0 * math.pi) * k.e_a * F1 * F2
 
 
 @errors.finite_result
 def du_small(chart: SmallTauChart, tau_abs: float) -> complex:
     """Analytic tau-derivative of ``u_small`` along the ray."""
-    P = chart.params
     m = _magnitude(tau_abs)
-    tau = _ray_phase(chart.eps1) * m
     if chart.log_mode:
         L1, L2 = _log_brackets(chart, m)
         return chart.prefactor * (L1 * L2 + chart.b2 * L2 + chart.b2_second * L1)
     F1, F2, G1, G2 = _small_brackets(chart, m)
-    s = P.sign2
-    K = s * P.b / (16.0 * math.pi) * cmath.exp(s * math.pi * chart.a / 2.0)
-    return K * (F1 * F2 + 2.0 * chart.rho * (G1 * F2 + F1 * G2))
+    k = chart._k
+    return k.du_scale * (F1 * F2 + k.two_rho * (G1 * F2 + F1 * G2))
 
 
 @errors.finite_result
 def H_small(chart: SmallTauChart, tau_abs: float) -> complex:
     """Leading small-argument Hamiltonian on the chart's ray."""
+    k = chart._k
     m = _magnitude(tau_abs)
-    tau = _ray_phase(chart.eps1) * m
+    tau = k.phase * m
     if chart.log_mode:
-        return _small_exponent(chart) / (2.0 * tau) + chart.b2 / (tau * _log_brackets(chart, m)[0])
+        return k.exponent / (2.0 * tau) + chart.b2 / (tau * _log_brackets(chart, m)[0])
     F1, _, G1, _ = _small_brackets(chart, m)
-    return 2.0 * chart.rho / tau * (G1 / F1) + _small_exponent(chart) / (2.0 * tau)
+    return k.two_rho / tau * (G1 / F1) + k.exponent / (2.0 * tau)
 
 
 @errors.finite_result
 def tau_function_asymptotic(chart: SmallTauChart, tau_abs: float, const: complex = 1.0) -> complex:
     """Small-argument tau-function form; ``const`` is the undetermined
     overall factor."""
+    k = chart._k
     m = _magnitude(tau_abs)
-    tau = _ray_phase(chart.eps1) * m
+    tau = k.phase * m
     F1 = _log_brackets(chart, m)[0] if chart.log_mode else _small_brackets(chart, m)[0]
-    return const * (tau ** (0.5 * _small_exponent(chart)) * F1)
+    return const * (tau ** (0.5 * k.exponent) * F1)
 
 
 def imag_chart(pt: MonodromyPoint, eps1: int, params: EquationParams,

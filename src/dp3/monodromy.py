@@ -93,7 +93,7 @@ def _upper(s: complex) -> tuple:
     return (1.0, s), (0.0, 1.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MonodromyPoint:
     """A point of the monodromy manifold."""
 
@@ -105,6 +105,14 @@ class MonodromyPoint:
     g12: complex
     g21: complex
     g22: complex
+
+    def __init__(self, a, s00, s0inf, s1inf, g11, g12, g21, g22):
+        # the generated frozen __init__ makes eight object.__setattr__ calls;
+        # writing the instance dict costs a third of that, and every group
+        # action builds one to three points
+        d = self.__dict__
+        d["a"], d["s00"], d["s0inf"], d["s1inf"] = a, s00, s0inf, s1inf
+        d["g11"], d["g12"], d["g21"], d["g22"] = g11, g12, g21, g22
 
     @property
     def G(self) -> np.ndarray:
@@ -277,14 +285,17 @@ def stokes_structure(pt: MonodromyPoint, k_min: int = 0, k_max: int = 3) -> Stok
     """Stokes matrices for indices ``k_min..k_max`` at infinity (the window
     at the origin is clipped to at most two indices, one full period) and
     the monodromy matrices built from the canonical factors, each a complex
-    2x2 array.  A ``k_min`` or ``k_max`` that is not an integer, an
-    overflow or a non-finite entry raises ``ConditionViolationError``."""
+    2x2 array.  A ``k_min`` or ``k_max`` that is not an integer, a
+    ``k_min`` above ``k_max``, an overflow or a non-finite entry raises
+    ``ConditionViolationError``."""
     import numbers
 
     import numpy as np
 
     if not (isinstance(k_min, numbers.Integral) and isinstance(k_max, numbers.Integral)):
         raise ConditionViolationError("k_min and k_max must be integers")
+    if k_min > k_max:
+        raise ConditionViolationError(f"k_min = {k_min} exceeds k_max = {k_max}")
 
     def array(m: tuple) -> np.ndarray:
         return np.array(m, dtype=complex)

@@ -35,8 +35,9 @@ def no_work(tau):
     lambda: lattice_residuals([], "km", 0.0, P),
     lambda: lattice_residuals(ladder(SEED, 0.0, P, 1), "bogus", 0.0, P, seed_eval=no_work),
     lambda: stokes_structure(PT, 2.5, 3),
+    lambda: stokes_structure(PT, 3, 1),
 ], ids=["ladder-fractional-n_max", "ladder-negative-n_max", "lattice-empty-ladder",
-        "lattice-unknown-identity", "stokes-fractional-k_min"])
+        "lattice-unknown-identity", "stokes-fractional-k_min", "stokes-empty-window"])
 def test_unusable_arguments_raise_before_any_work(call):
     with pytest.raises(ConditionViolationError):
         call()

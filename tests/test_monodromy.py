@@ -2,7 +2,9 @@
 full set of group actions."""
 
 import cmath
+import dataclasses
 import math
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +14,7 @@ from conftest import all_map_images
 from dp3.errors import ConditionViolationError
 from dp3.monodromy import (
     SIGMA3,
+    MonodromyPoint,
     apply_F,
     apply_Fhat,
     backlund_monodromy,
@@ -284,6 +287,30 @@ def test_negate_tau_composition_preserves_manifold(manifold_sample):
         q = lie_point_monodromy(lie_point_monodromy(pt, "negate_tau", 1, 1),
                                 "negate_tau", -1, 1)
         assert manifold_residual(q).max() < 1e-10
+
+
+# ------------------------------------------------------------- the point
+
+def test_point_keeps_frozen_dataclass_behaviour():
+    values = [complex(k, -k) for k in range(8)]
+    pt = MonodromyPoint(*values)
+    assert pt == MonodromyPoint(**dict(zip(FIELDS, values)))
+    assert hash(pt) == hash(MonodromyPoint(*values))
+    assert pt != MonodromyPoint(*values[:7], 1j)
+    assert repr(pt) == "MonodromyPoint(" + ", ".join(
+        f"{k}={v!r}" for k, v in zip(FIELDS, values)) + ")"
+    assert tuple(f.name for f in dataclasses.fields(pt)) == FIELDS
+    moved = replace(pt, g12=9j)
+    assert type(moved) is MonodromyPoint and moved.g12 == 9j
+    assert replace(moved, g12=values[5]) == pt
+    assert pickle.loads(pickle.dumps(pt)) == pt
+    assert dataclasses.astuple(pt) == tuple(values)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        pt.a = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del pt.g22
+    with pytest.raises(TypeError):
+        MonodromyPoint(*values[:7])
 
 
 # ------------------------------------------------------------------ JSON
