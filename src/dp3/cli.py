@@ -40,14 +40,14 @@ def _cpx(v: complex) -> list[float]:
 def _load_point(source: str) -> MonodromyPoint:
     from . import monodromy
 
-    if source.strip().startswith("{"):
-        text = source
-    else:
-        with open(source) as fh:
-            text = fh.read()
     try:
+        if source.strip().startswith("{"):
+            text = source
+        else:
+            with open(source) as fh:
+                text = fh.read()
         return monodromy.point_from_json(text)
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:  # UnicodeDecodeError included
         raise _ValidationError(f"bad monodromy point: {exc}") from exc
 
 
@@ -243,16 +243,20 @@ def _cmd_lattice(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    import warnings
+
     import numpy as np
 
     from . import connection, ode
 
     params = _params_from(args)
-    data = np.genfromtxt(args.csv, delimiter=",", names=True)
     try:
+        with warnings.catch_warnings():  # an empty file warns, then fails on its header
+            warnings.simplefilter("error")
+            data = np.genfromtxt(args.csv, delimiter=",", names=True)
         tau, u, du, H = (np.atleast_1d(data[f"{k}_re"] + 1j * data[f"{k}_im"])
                          for k in ("tau", "u", "du", "H"))
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, UserWarning) as exc:
         raise _ValidationError(f"bad trajectory CSV: {exc}") from exc
     if not (np.all(np.isfinite(tau)) and np.all(np.isfinite(u))):
         raise _ValidationError("trajectory CSV has non-finite tau or u samples")

@@ -464,8 +464,14 @@ def point_to_json(pt: MonodromyPoint) -> str:
 
 
 def point_from_json(text: str) -> MonodromyPoint:
-    """Parse the canonical JSON object of [re, im] pairs."""
-    data = json.loads(text)
+    """Parse the canonical JSON object of [re, im] pairs; malformed text
+    raises ``ValueError``."""
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError("monodromy point JSON is nested too deeply") from None
+    if not isinstance(data, dict):
+        raise ValueError("monodromy point JSON must be an object")
     missing = [k for k in _JSON_KEYS if k not in data]
     if missing:
         raise ValueError(f"monodromy point JSON is missing keys: {missing}")
@@ -474,7 +480,10 @@ def point_from_json(text: str) -> MonodromyPoint:
         pair = data[key]
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise ValueError(f"key {key!r} must be a [re, im] pair")
-        vals[key] = complex(float(pair[0]), float(pair[1]))
+        try:
+            vals[key] = complex(float(pair[0]), float(pair[1]))
+        except (TypeError, ValueError):
+            raise ValueError(f"key {key!r} must be a pair of numbers") from None
         if not cmath.isfinite(vals[key]):
             raise ValueError(f"key {key!r} must be finite")
     return MonodromyPoint(**vals)

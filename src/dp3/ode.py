@@ -21,9 +21,11 @@ are needed (never at import).  Each expression keeps the nonzero
 coefficients in ascending stage order, so the steps, ``nfev`` and output
 samples are the same floats as the dense formula y + h sum_j a_sj K_j.
 One generator writes the kernels of each right-hand side from its record,
-a ``_System``.  The generic kernels call ``fun`` per stage; the fused ones
-that ``integrate_ray`` uses write ``_DDU`` into every stage, with a ray's
-constants bound, and give the floats of the generic ones on that closure.
+a ``_System``, as one triple (rhs, step, interpolant) over the record's
+bound constants.  ``_GENERIC``'s one constant is a Python closure that its
+stages call; ``_RAY``'s stages, which ``integrate_ray`` uses, write
+``_DDU`` inline with a ray's constants and give the floats of the generic
+ones on that closure.
 
 The dense output is filled in one pass after the last step: the same
 generated interpolant runs once over every step that holds a requested
@@ -317,10 +319,9 @@ def integrate_ray(initial: SolutionState, a: complex, params: EquationParams,
     error is 114 tol at tol 1e-10 and 2.3e3 tol at tol 1e-8.  A small
     ``u_abs_min`` on the trajectory shows such an approach.
 
-    The equation is not called per stage: the fused kernels of
-    ``_fused_kernels`` evaluate ``_DDU`` inline with this ray's phase and
-    constants bound, and are handed to ``solve_ivp``, which is called
-    through the module global.
+    The equation is not called per stage: the kernels of ``_RAY`` evaluate
+    ``_DDU`` inline with this ray's phase and constants bound, and are
+    handed to ``solve_ivp``, which is called through the module global.
     """
     t_start = time.perf_counter()
     if not (_TOL_RANGE[0] <= tol <= _TOL_RANGE[1]):
@@ -351,10 +352,10 @@ def integrate_ray(initial: SolutionState, a: complex, params: EquationParams,
     # Python numbers only, so that the scalar steps and the dense pass's
     # lanes both follow CPython's arithmetic, whatever the caller passed
     ca = complex(a)
-    rhs, step, interpolant = _fused_kernels(len(y0))(
+    kernels = _kernels(_RAY, len(y0))(
         complex(phase), *_ray_constants(ca, params), 2.0 * ca, float(params.b))
-    sol = solve_ivp(rhs, (s0, s1), y0, rtol=tol, atol=tol * 1e-3, dense_at=dense_at,
-                    bounds=(u_floor, u_ceil), kernels=(step, interpolant))
+    sol = solve_ivp(kernels, (s0, s1), y0, rtol=tol, atol=tol * 1e-3, dense_at=dense_at,
+                    bounds=(u_floor, u_ceil))
     if sol.status == 1:  # approached a zero or pole
         raise IntegrationFailureError(
             f"|u| left [{u_floor}, {u_ceil}] near |tau| = {sol.t_fail:.6g}; "
@@ -367,7 +368,7 @@ def integrate_ray(initial: SolutionState, a: complex, params: EquationParams,
     tau_arr = phase * s_out
     u_arr, du_arr = sol.y[0], sol.y[1]
     phi_arr = sol.y[2] if with_phi else None
-    if not (np.all(tau_arr) and np.all(u_arr)):  # only a dense_at of 0 can do this
+    if not (np.all(tau_arr) and np.all(u_arr)):  # only an interpolated u of exactly 0 can do this
         raise SingularityError("u = 0 or tau = 0 at an output sample")
     H = _hamiltonian(tau_arr, u_arr, du_arr, a, params)
     steps = np.abs(np.diff(sol.t))
@@ -480,8 +481,7 @@ _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_EXPONENT = -1.0 / 8.0  # error estimator of order 7
 _MAX_STEPS = 100_000  # accepted steps per call, Hairer's NMAX; a ray to |tau| = 400 takes ~1000
 
-_KERNELS: dict[int, tuple] = {}  # n -> (step, interpolant)
-_FUSED: dict[int, object] = {}  # n -> bind(phase, c_u2, c_ab, b2, a2, b)
+_KERNELS: dict[tuple, object] = {}  # (record, n) -> bind(*record's constants)
 
 
 def _dot(row: dict, i: int) -> str:
@@ -498,7 +498,7 @@ def _tup(items) -> str:
     return "(" + "".join(f"{x}, " for x in items) + ")"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # a module singleton, cached by identity
 class _System:
     """A right-hand side as ``_kernel_source`` writes it into the kernels:
     ``_GENERIC`` calls fun at each stage, ``_RAY`` is ``_DDU`` along a ray."""
@@ -506,7 +506,6 @@ class _System:
     constants: str  # the parameters of bind, which the kernels close over
     stage: object  # (outs, s, args) -> lines setting the names outs to the derivative
     guard: str  # SingularityError message for a division by zero in the stages; "" for none
-    rhs: bool  # whether bind also returns rhs(t, y), the stage's lines at (t, y)
 
 
 def _ray_stage(outs: list, s: str, args: list) -> list:
@@ -516,30 +515,29 @@ def _ray_stage(outs: list, s: str, args: list) -> list:
         + [f"{out} = {v}" for out, v in zip(outs, values)]
 
 
-_GENERIC = _System("", lambda outs, s, args: [f"{_tup(outs)} = fun({s}, {_tup(args)})"],
-                   "", False)
+_GENERIC = _System("fun", lambda outs, s, args: [f"{_tup(outs)} = fun({s}, {_tup(args)})"], "")
 _RAY = _System("phase, c_u2, c_ab, b2, a2, b", _ray_stage,  # a2 = 2 a
-               "u vanished at |tau| = {s}", True)
+               "u vanished at |tau| = {s}")
 
 
 def _kernel_source(system: _System, n: int) -> str:
-    """Source of ``bind(<system.constants>)``, which closes ``step`` and
-    ``interpolant`` for n components, and ``rhs(t, y)`` when the system asks
-    for one, over its arguments and returns them, ``rhs`` first.
+    """Source of ``bind(<system.constants>)``, which closes ``rhs``,
+    ``step`` and ``interpolant`` for n components over its arguments and
+    returns the three in that order.
 
-    ``step(fun, t, h, y, f, atol, rtol)`` takes f = fun(t, y) and returns
-    the 8th-order solution at t + h, the sums over components of the squared
-    scaled 5th- and 3rd-order error estimates, and the stages K_0..K_11 as
-    one flat tuple, component index fastest.  ``interpolant(fun, t, h, y,
-    y_new, f_new, ks)`` computes the three extra stages and returns, per
-    component, the seven coefficients that ``_evaluate`` reads.
+    ``rhs(t, y)`` is the derivative at (t, y).  ``step(t, h, y, f, atol,
+    rtol)`` takes f = rhs(t, y) and returns the 8th-order solution at t + h,
+    the sums over components of the squared scaled 5th- and 3rd-order error
+    estimates, and the stages K_0..K_11 as one flat tuple, component index
+    fastest.  ``interpolant(t, h, y, y_new, f_new, ks)`` computes the three
+    extra stages and returns, per component, the seven coefficients that
+    ``_evaluate`` reads.
 
     Each stage, and ``rhs``'s body, is the lines of ``system.stage``, given
     the s and the arguments of every component; a stage reads the ones it
-    needs.  ``_GENERIC``'s stage calls ``fun``; ``_RAY``'s writes ``_DDU``
-    inline and ignores ``fun``, and each of its stages keeps the operations
-    of the closure it replaces, in the same order, so both give the same
-    floats.
+    needs.  ``_GENERIC``'s stage calls its bound ``fun``; ``_RAY``'s writes
+    ``_DDU`` inline, and each of its stages keeps the operations of the
+    closure it replaces, in the same order, so both give the same floats.
     """
     comps = range(n)
 
@@ -560,9 +558,13 @@ def _kernel_source(system: _System, n: int) -> str:
     e3 = {j: weights.get(j, 0.0) - _E3_SHIFT.get(j, 0.0) for j in range(12)}
     ys, news = _tup(f"y{i}" for i in comps), _tup(f"n{i}" for i in comps)
     ks = _tup(f"k{j}_{i}" for j in range(12) for i in comps)
-    lines = ["def step(fun, t, h, y, f, atol, rtol):",
-             f"    {ys} = y",
-             f"    {_tup(f'k0_{i}' for i in comps)} = f"]
+    outs = [f"f{i}" for i in comps]
+    lines = ["def rhs(t, y):"] + guarded(system.stage(outs, "t", [f"y[{i}]" for i in comps]))
+    lines += [f"    return {_tup(outs)}",
+              "",
+              "def step(t, h, y, f, atol, rtol):",
+              f"    {ys} = y",
+              f"    {_tup(f'k0_{i}' for i in comps)} = f"]
     lines += guarded([line for s in range(1, 12) for line in stage(s)])
     lines += [f"    n{i} = y{i} + ({_dot(weights, i)}) * h" for i in comps]
     for i in comps:
@@ -574,7 +576,7 @@ def _kernel_source(system: _System, n: int) -> str:
                   f"    err3 {acc} e3 * e3"]
     lines += [f"    return {news}, err5, err3, {ks}",
               "",
-              "def interpolant(fun, t, h, y, y_new, f_new, ks):",
+              "def interpolant(t, h, y, y_new, f_new, ks):",
               f"    {ys} = y",
               f"    {news} = y_new",
               f"    {_tup(f'k12_{i}' for i in comps)} = f_new",
@@ -585,40 +587,21 @@ def _kernel_source(system: _System, n: int) -> str:
               + "".join(f"({_dot(row, i)}) * h, " for row in _D_NONZERO) + ")"
               for i in comps)
     lines.append(f"    return [{', '.join(coeffs)}]")
-    if system.rhs:
-        outs = [f"f{i}" for i in comps]
-        lines += ["", "def rhs(t, y):"] \
-            + guarded(system.stage(outs, "t", [f"y[{i}]" for i in comps])) \
-            + [f"    return {_tup(outs)}"]
-    kernels = "rhs, step, interpolant" if system.rhs else "step, interpolant"
     return "\n".join([f"def bind({system.constants}):"]
                      + [f"    {line}" if line else "" for line in lines]
-                     + [f"    return {kernels}"]) + "\n"
+                     + ["    return rhs, step, interpolant"]) + "\n"
 
 
-def _bind(system: _System, n: int):
-    namespace: dict = {"SingularityError": SingularityError}
-    exec(compile(_kernel_source(system, n), f"<DOP853 kernels, bind({system.constants}), n = {n}>",
-                 "exec"), namespace)
-    return namespace["bind"]
-
-
-def _kernels(n: int) -> tuple:
-    """The generic (step, interpolant) pair for n components, generated on
-    first use and cached in ``_KERNELS``."""
-    kernels = _KERNELS.get(n)
-    if kernels is None:
-        kernels = _KERNELS[n] = _bind(_GENERIC, n)()
-    return kernels
-
-
-def _fused_kernels(n: int):
-    """``bind`` of the fused kernels for n = 2 or 3 components, generated
-    on first use and cached in ``_FUSED``; binding one ray's constants
-    compiles nothing."""
-    bind = _FUSED.get(n)
+def _kernels(system: _System, n: int):
+    """``bind`` of the kernels of ``system`` for n components, generated on
+    first use and cached in ``_KERNELS``; binding constants compiles
+    nothing."""
+    bind = _KERNELS.get((system, n))
     if bind is None:
-        bind = _FUSED[n] = _bind(_RAY, n)
+        namespace: dict = {"SingularityError": SingularityError}
+        exec(compile(_kernel_source(system, n),
+                     f"<DOP853 kernels, bind({system.constants}), n = {n}>", "exec"), namespace)
+        bind = _KERNELS[system, n] = namespace["bind"]
     return bind
 
 
@@ -793,8 +776,7 @@ def _evaluate(coeffs: list, y: list, x: float) -> list:
             for yi, (F0, F1, F2, F3, F4, F5, F6) in zip(y, coeffs)]
 
 
-def _dense_output(fun, interpolant, held: list, counts: list, s: np.ndarray,
-                  n: int) -> np.ndarray:
+def _dense_output(interpolant, held: list, counts: list, s: np.ndarray, n: int) -> np.ndarray:
     """(n, len(s)) interpolated states at the ordered magnitudes ``s``,
     whose first counts[0] lie in the step held[0] = (t, h, *y, *y_new,
     *f_new, *ks), the next counts[1] in held[1], and so on.
@@ -814,10 +796,10 @@ def _dense_output(fun, interpolant, held: list, counts: list, s: np.ndarray,
     y = lanes[:n]
     with np.errstate(all="ignore"):
         try:
-            coeffs = interpolant(fun, t, h, *split(lanes))
+            coeffs = interpolant(t, h, *split(lanes))
         except SingularityError:
             for step in held:
-                interpolant(fun, step[0], step[1], *split(step[2:]))
+                interpolant(step[0], step[1], *split(step[2:]))
             raise
         index = np.repeat(np.arange(len(held)), counts)
         x = _Lanes((s - t.v[index]) / h.v[index])
@@ -841,13 +823,15 @@ def _exit_fraction(coeffs: list, y: list, lo: float, hi: float) -> float:
     return outside
 
 
-def solve_ivp(fun, t_span: tuple[float, float], y0, rtol: float, atol: float,
-              dense_at=None, bounds: tuple[float, float] = (0.0, math.inf),
-              kernels: tuple | None = None) -> _RaySolution:
+def solve_ivp(kernels: tuple, t_span: tuple[float, float], y0, rtol: float, atol: float,
+              dense_at=None, bounds: tuple[float, float] = (0.0, math.inf)) -> _RaySolution:
     """Integrate y' = fun(t, y) over ``t_span`` with the DOP853 pair.
 
-    ``fun`` maps a float and a sequence of complex scalars to a sequence
-    of complex scalars.  The error norm (combined 5th/3rd-order estimate),
+    ``kernels`` is the triple (fun, step, interpolant) that a record's
+    ``bind`` returns, ``_kernels(record, len(y0))(*constants)``; a Python
+    closure runs through ``_kernels(_GENERIC, len(y0))(closure)``.  ``fun``
+    maps a float and a sequence of complex scalars to a sequence of
+    complex scalars.  The error norm (combined 5th/3rd-order estimate),
     the step-size rule (safety 0.9, factor in [0.2, 10], exponent -1/8) and
     the initial step are those of scipy's DOP853, so the accepted steps
     agree with ``scipy.integrate.solve_ivp(..., method="DOP853")``.  A step
@@ -859,22 +843,20 @@ def solve_ivp(fun, t_span: tuple[float, float], y0, rtol: float, atol: float,
     ``_dense_output`` runs the interpolant once over all of them and the
     polynomial once over all samples, on lanes that give the floats of the
     scalar kernels step by step.  The generic interpolant then passes
-    lanes to ``fun``: its t and the components of y are lanes, so ``fun``
-    may use only the arithmetic operators (+, -, *, / and unary -) and
-    ``== 0``, which holds when any lane is zero, between them and Python
+    lanes to its closure: t and the components of y are lanes, so the
+    closure may use only the arithmetic operators (+, -, *, / and unary -)
+    and ``== 0``, which holds when any lane is zero, between them and Python
     numbers.  The pass runs only once the integration has succeeded.  The
     integration stops with status 1 when ``|y[0]|`` leaves ``bounds``, with
     the exit located inside the step by the scalar interpolant; otherwise
     ``u_abs_range`` holds the extremes of ``|y[0]|`` over ``t``.
 
-    Each step and interpolant runs through the kernels ``_kernels(len(y0))``
-    generated from the tableau; they give the same floats as the dense
-    formula over the full tableau, whose terms they drop only where the
-    coefficient is zero.  ``kernels`` replaces that (step, interpolant) pair:
-    ``integrate_ray`` passes the fused pair, whose stages evaluate the
-    equation inline, with the matching ``fun`` that the initial step and
-    the end-of-step derivative still call; ``nfev`` counts the fused
-    stages as calls.  The name and the ``t`` and ``nfev`` fields follow
+    The kernels are generated from the tableau; they give the same floats
+    as the dense formula over the full tableau, whose terms they drop only
+    where the coefficient is zero.  ``fun`` is called for the initial step
+    and the end-of-step derivative, and ``nfev`` counts every stage as a
+    call, also where a record evaluates it inline (``integrate_ray`` passes
+    ``_RAY``'s kernels).  The name and the ``t`` and ``nfev`` fields follow
     scipy's ``solve_ivp``: ``perfbench/tracer.py`` replaces this module
     attribute to count steps and right-hand-side calls, so ``integrate_ray``
     calls it through the module global.
@@ -884,7 +866,7 @@ def solve_ivp(fun, t_span: tuple[float, float], y0, rtol: float, atol: float,
     lo, hi = bounds
     y = list(y0)
     n = len(y)
-    step, interpolant = _kernels(n) if kernels is None else kernels
+    fun, step, interpolant = kernels
 
     # initial step (Hairer, Norsett & Wanner II.4)
     f = fun(t, y)
@@ -929,7 +911,7 @@ def solve_ivp(fun, t_span: tuple[float, float], y0, rtol: float, atol: float,
                 t_new = t_bound
             h = t_new - t
             h_abs = abs(h)
-            y_new, err5, err3, ks = step(fun, t, h, y, f, atol, rtol)
+            y_new, err5, err3, ks = step(t, h, y, f, atol, rtol)
             nfev += 11
             err = 0.0 if err5 == 0 and err3 == 0 \
                 else h_abs * err5 / math.sqrt((err5 + 0.01 * err3) * n)
@@ -948,7 +930,7 @@ def solve_ivp(fun, t_span: tuple[float, float], y0, rtol: float, atol: float,
 
         u_abs = abs(y_new[0])
         if not lo <= u_abs <= hi:
-            coeffs = interpolant(fun, t, h, y, y_new, f_new, ks)
+            coeffs = interpolant(t, h, y, y_new, f_new, ks)
             nfev += 3
             t_exit = t + _exit_fraction(coeffs, y, lo, hi) * h
             return _RaySolution(np.array(ts), None, nfev, 1, t_fail=t_exit)
@@ -974,8 +956,7 @@ def solve_ivp(fun, t_span: tuple[float, float], y0, rtol: float, atol: float,
     else:
         y_out = np.empty((n, len(pending)), dtype=complex)
         if held:
-            y_out[:, order] = _dense_output(fun, interpolant, held, counts,
-                                            np.array(pending), n)
+            y_out[:, order] = _dense_output(interpolant, held, counts, np.array(pending), n)
     return _RaySolution(np.array(ts), y_out, nfev, 0, u_abs_range=(u_min, u_max))
 
 

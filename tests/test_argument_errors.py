@@ -2,13 +2,17 @@
 count, a lattice identity, a ladder or a Stokes index window that the
 call cannot use is rejected before any work, and every argument check of
 the branch systems, the group actions, the Backlund and Lie-point maps,
-the lattice residuals, the equation parameters and the sampler raises
-that type."""
+the lattice residuals, the equation parameters, the sampler, the ray
+integrator and the grid residual raises that type.  A seed at tau = 0 and
+a matrix-entry Hamiltonian off its stratum raise ``SingularityError``, and
+a ladder seed whose rungs vanish, break down or overflow
+``LadderBreakdownError`` naming the rung."""
 
+import numpy as np
 import pytest
 
 from dp3.backlund import backlund_step, ladder, lattice_residuals, lie_point_solution
-from dp3.errors import ConditionViolationError
+from dp3.errors import ConditionViolationError, LadderBreakdownError, SingularityError
 from dp3.monodromy import (
     apply_F,
     backlund_monodromy,
@@ -16,7 +20,13 @@ from dp3.monodromy import (
     lie_point_monodromy,
     stokes_structure,
 )
-from dp3.ode import algebraic_solution
+from dp3.ode import (
+    SolutionState,
+    algebraic_solution,
+    hamiltonian_abcd,
+    integrate_ray,
+    residual_on_grid,
+)
 from dp3.params import EquationParams
 from dp3.sampling import sample_manifold
 
@@ -61,11 +71,31 @@ def test_unusable_arguments_raise_before_any_work(call):
     lambda: lattice_residuals(ladder(SEED, 0.0, P, 5), "toda", 0.0, P),
     lambda: EquationParams(2, 1.0),
     lambda: sample_manifold(seed=1, count=1, branch=4),
+    lambda: integrate_ray(SEED, 0.0, P, abs(SEED.tau)),
+    lambda: residual_on_grid(np.array([1.0, 2.0, 3.0j, 4.0, 5.0]), np.ones(5), 0.0, P),
 ], ids=["branch1-g11-g22-zero", "branch2-g22-zero", "unknown-branch", "F-bad-eps1",
         "F-bad-eps2", "backlund-step-direction", "backlund-monodromy-direction",
         "lie-monodromy-p", "lie-monodromy-l", "lie-monodromy-kind", "lie-solution-p",
         "lie-solution-l", "lie-solution-kind", "lie-solution-relabel", "toda-without-seed-eval",
-        "params-eps-2", "sample-branch-4"])
+        "params-eps-2", "sample-branch-4", "integrate-to-own-magnitude",
+        "residual-off-one-ray"])
 def test_argument_checks_raise_condition_violation(call):
     with pytest.raises(ConditionViolationError):
+        call()
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: integrate_ray(SolutionState(0.0, 1.0, 1.0), 0.0, P, 2.0), SingularityError,
+     "at tau = 0"),
+    (lambda: hamiltonian_abcd(0.0, 1.0, 1.0, 1.0, 1.0, 0.0, P), SingularityError, "A B = 0"),
+    (lambda: ladder(SolutionState(1.0, 0.0, 1.0), 0.0, P, 1), LadderBreakdownError,
+     "u_0 vanishes"),
+    (lambda: ladder(SolutionState(1.0, 1e300, 1e300), 0.0, P, 1), LadderBreakdownError,
+     "rung 1 breaks down"),
+    (lambda: ladder(SolutionState(1e-200, 1.0, 0.0), 0.0, P, 1), LadderBreakdownError,
+     "rung 0 is not finite"),
+], ids=["integrate-from-tau-0", "abcd-off-stratum", "ladder-u-zero", "ladder-rung-breaks",
+        "ladder-rung-overflows"])
+def test_unusable_states_raise_their_typed_error(call, error, message):
+    with pytest.raises(error, match=message):
         call()

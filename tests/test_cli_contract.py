@@ -5,6 +5,7 @@ still prints usage and exits 0, and ``--output`` writes the bytes that the
 same command prints to stdout."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -89,3 +90,36 @@ def test_output_file_equals_stdout(argv, point_path, tmp_path, capsys):
     assert capsys.readouterr().out == ""
     assert target.read_bytes() == printed.encode()
     assert printed.endswith("\n")
+
+
+CSV_HEADER = "tau_re,tau_im,u_re,u_im,du_re,du_im,phi_re,phi_im,H_re,H_im\n"
+
+
+def _point_with_g12(point_path, pair):
+    data = json.loads(Path(point_path).read_text())
+    return json.dumps(dict(data, g12=pair)).encode()
+
+
+@pytest.mark.parametrize("command, content", [
+    ("check", lambda path: _point_with_g12(path, [1, None])),
+    ("check", lambda path: _point_with_g12(path, [{}, 0])),
+    ("check", lambda path: b"5"),
+    ("check", lambda path: b"\xff\xfe"),
+    ("check", lambda path: b"[" * 100_000 + b"]" * 100_000),
+    ("fit", lambda path: b""),
+    ("fit", lambda path: (CSV_HEADER + "1,2,3\n").encode()),
+    ("fit", lambda path: b"\xff\xfe"),
+], ids=["pair-null", "pair-object", "not-an-object", "point-not-utf8", "nested-too-deeply",
+        "csv-empty", "csv-short-row", "csv-not-utf8"])
+def test_malformed_input_file_is_one_json_line(command, content, point_path, tmp_path, capsys):
+    target = tmp_path / "input"
+    target.write_bytes(content(point_path))
+    argv = (["monodromy", "check", "--point", str(target)] if command == "check"
+            else ["fit", "--csv", str(target), *PARAMS])
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["error"] == "validation" and payload["type"] == "_ValidationError"

@@ -108,20 +108,20 @@ def reference_samples(seed, a, tau_end, tol, dense_at):
     s0 = abs(seed.tau)
     phase = complex(seed.tau / s0)
     a = complex(a)
-    rhs, step, interpolant = ode._fused_kernels(len(y0))(
+    rhs, step, interpolant = ode._kernels(ode._RAY, len(y0))(
         phase, *ode._ray_constants(a, P1), 2.0 * a, P1.b)
     atol = tol * 1e-3
-    sol = ode.solve_ivp(rhs, (s0, tau_end), y0, rtol=tol, atol=atol, bounds=(1e-8, 1e8),
-                        kernels=(step, interpolant))
+    sol = ode.solve_ivp((rhs, step, interpolant), (s0, tau_end), y0, rtol=tol, atol=atol,
+                        bounds=(1e-8, 1e8))
     t, states = sol.t.tolist(), [[complex(v) for v in col] for col in sol.y.T]
     direction = 1.0 if tau_end > s0 else -1.0
     samples, held = [], set()
     for p in np.asarray(dense_at, dtype=float).tolist():
         k = next((k for k in range(len(t) - 1) if direction * (p - t[k + 1]) <= 0), len(t) - 2)
         y, h = states[k], t[k + 1] - t[k]
-        y_new, _, _, ks = step(None, t[k], h, y, rhs(t[k], y), atol, tol)
+        y_new, _, _, ks = step(t[k], h, y, rhs(t[k], y), atol, tol)
         assert list(y_new) == states[k + 1]
-        coeffs = interpolant(None, t[k], h, y, y_new, rhs(t[k + 1], y_new), ks)
+        coeffs = interpolant(t[k], h, y, y_new, rhs(t[k + 1], y_new), ks)
         samples.append(ode._evaluate(coeffs, y, (p - t[k]) / h))
         held.add(k)
     return np.array(samples).T, sol.nfev + 3 * len(held)
@@ -158,17 +158,17 @@ def test_dense_pass_names_the_first_step_at_fault():
     # stage 13 reads u = y0 + h * (a_13,0 * k0_0 + ...): zero for the second
     # held step, whose stages are zero but for k0 = (1, 0.5), at h = 1
     a = 0.3 + 0.1j
-    rhs, _, interpolant = ode._fused_kernels(2)(1.0 + 0j, *ode._ray_constants(a, P1),
-                                                2.0 * a, P1.b)
+    _, _, interpolant = ode._kernels(ode._RAY, 2)(1.0 + 0j, *ode._ray_constants(a, P1),
+                                                  2.0 * a, P1.b)
     zeros = (0j,) * 24
     held = [(1.0, 1.0, [2.0 + 0j, 1.0 + 0j], (2.5 + 0j, 1.2 + 0j), (1.0 + 0j, 0.5 + 0j),
              (1.0 + 0j, 0.5 + 0j) + zeros[2:]),
             (2.0, 1.0, [-ode._A_NONZERO[12][0] + 0j, 1.0 + 0j], (1.0 + 0j, 1.0 + 0j),
              (0j, 0.5 + 0j), (1.0 + 0j, 0.5 + 0j) + zeros[2:])]
     with pytest.raises(SingularityError) as scalar:
-        interpolant(None, *held[1])
+        interpolant(*held[1])
     assert str(scalar.value) == f"u vanished at |tau| = {2.0 + ode._C[13]}"
     flat = [(t, h, *y, *y_new, *f_new, *ks) for t, h, y, y_new, f_new, ks in held]
     with pytest.raises(SingularityError) as lanes:
-        ode._dense_output(rhs, interpolant, flat, [1, 1], np.array([1.5, 2.5]), 2)
+        ode._dense_output(interpolant, flat, [1, 1], np.array([1.5, 2.5]), 2)
     assert str(lanes.value) == str(scalar.value)

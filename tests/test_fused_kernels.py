@@ -11,7 +11,7 @@ import pytest
 
 from dp3 import ode
 from dp3.errors import SingularityError
-from dp3.ode import _DDU, _fused_kernels, _kernels, _ray_constants, integrate_ray
+from dp3.ode import _DDU, _GENERIC, _RAY, _kernels, _ray_constants, integrate_ray
 from dp3.params import EquationParams
 from test_ode import P1, crit10_seed
 
@@ -37,7 +37,7 @@ def bits(*values) -> bytes:
 
 
 def bind(n, phase, a, params):
-    return _fused_kernels(n)(phase, *_ray_constants(a, params), 2.0 * a, params.b)
+    return _kernels(_RAY, n)(phase, *_ray_constants(a, params), 2.0 * a, params.b)
 
 
 def test_fused_kernels_equal_generic_kernels():
@@ -47,38 +47,38 @@ def test_fused_kernels_equal_generic_kernels():
         return (rng.normal(size=size) + 1j * rng.normal(size=size)).tolist()
 
     for n in (2, 3):
-        step, interpolant = _kernels(n)
         for phase in (1.0 + 0j, -1.0 + 0j, 1j, -1j):
             for eps in (1, -1):
                 b = float(rng.uniform(-3.0, 3.0))
                 params = EquationParams.make(eps, b)
                 a = complex(*rng.normal(size=2))
                 fun = closure_rhs(phase, a, params, n == 3)
+                _, step, interpolant = _kernels(_GENERIC, n)(fun)
                 rhs, fused_step, fused_interpolant = bind(n, phase, a, params)
                 for t, h in zip(rng.uniform(0.5, 5.0, 4).tolist(),
                                 rng.uniform(-0.3, 0.3, 4).tolist()):
                     y = cplx(n)
                     f = fun(t, y)
                     assert bits(rhs(t, y)) == bits(f)
-                    y_new, err5, err3, ks = step(fun, t, h, y, f, 1e-13, 1e-10)
-                    fy_new, ferr5, ferr3, fks = fused_step(None, t, h, y, f, 1e-13, 1e-10)
+                    y_new, err5, err3, ks = step(t, h, y, f, 1e-13, 1e-10)
+                    fy_new, ferr5, ferr3, fks = fused_step(t, h, y, f, 1e-13, 1e-10)
                     assert bits(y_new, [err5, err3], ks) == bits(fy_new, [ferr5, ferr3], fks)
                     f_new = fun(t + h, y_new)
                     assert bits(rhs(t + h, y_new)) == bits(f_new)
-                    coeffs = interpolant(fun, t, h, y, y_new, f_new, ks)
-                    assert bits(coeffs) == bits(fused_interpolant(None, t, h, y, y_new, f_new, ks))
+                    coeffs = interpolant(t, h, y, y_new, f_new, ks)
+                    assert bits(coeffs) == bits(fused_interpolant(t, h, y, y_new, f_new, ks))
 
 
 def test_fused_stage_at_u_zero_raises_same_error():
     # stage 1 reads u = y0 + h * (a_10 * k0_0): zero for k0_0 = 1, h = 1
     a = 0.3 + 0.1j
     y, f = [-ode._A_NONZERO[0][0] + 0j, 1.0 + 0j], (1.0 + 0j, 0.5 + 0j)
-    step, _ = _kernels(2)
+    _, step, _ = _kernels(_GENERIC, 2)(closure_rhs(1.0 + 0j, a, P1, False))
     with pytest.raises(SingularityError) as generic:
-        step(closure_rhs(1.0 + 0j, a, P1, False), 2.0, 1.0, y, f, 1e-13, 1e-10)
+        step(2.0, 1.0, y, f, 1e-13, 1e-10)
     rhs, fused_step, _ = bind(2, 1.0 + 0j, a, P1)
     with pytest.raises(SingularityError) as fused:
-        fused_step(None, 2.0, 1.0, y, f, 1e-13, 1e-10)
+        fused_step(2.0, 1.0, y, f, 1e-13, 1e-10)
     assert str(fused.value) == str(generic.value) == f"u vanished at |tau| = {2.0 + ode._C[1]}"
     with pytest.raises(SingularityError, match=r"u vanished at \|tau\| = 2\.0$"):
         rhs(2.0, [0j, 1.0 + 0j])
@@ -94,8 +94,8 @@ def test_integrate_ray_equals_closure_driven_stepper(with_phi):
     grid = np.concatenate([np.linspace(50.0, 100.0, 60), np.linspace(80.0, 20.0, 30)])
     for dense in (None, grid):
         traj = integrate_ray(seed, a, P1, 100.0, tol=1e-10, dense_at=dense)
-        sol = ode.solve_ivp(fun, (0.02, 100.0), y0, rtol=1e-10, atol=1e-13, dense_at=dense,
-                            bounds=(1e-8, 1e8))
+        sol = ode.solve_ivp(_kernels(_GENERIC, len(y0))(fun), (0.02, 100.0), y0, rtol=1e-10,
+                            atol=1e-13, dense_at=dense, bounds=(1e-8, 1e8))
         s = sol.t if dense is None else dense
         phase = seed.tau / abs(seed.tau)
         assert bits(traj.tau, traj.u, traj.du) == bits(phase * s, sol.y[0], sol.y[1])
@@ -129,9 +129,9 @@ def test_equation_written_once_in_source():
 def test_integrating_generates_only_fused_kernels():
     src = Path(ode.__file__).resolve().parents[1]
     code = ("import dp3.cli, dp3.ode as o; p = o.EquationParams.make(1, 1.0); "
-            "print(len(o._KERNELS), sorted(o._FUSED)); "
+            "print(list(o._KERNELS)); "
             "o.integrate_ray(o.algebraic_solution(1.0, p), 0.0, p, 2.0); "
-            "print(len(o._KERNELS), sorted(o._FUSED))")
+            "print(list(o._KERNELS) == [(o._RAY, 2)])")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, cwd=src, timeout=60)
-    assert out.stdout.split("\n")[:2] == ["0 []", "0 [2]"]
+    assert out.stdout.split("\n")[:2] == ["[]", "True"]

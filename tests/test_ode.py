@@ -181,7 +181,8 @@ def test_stepper_nonfinite_error_stops():
     def rhs(t, y):
         return (complex(math.nan, 0.0) if t > 1.5 else 1j,)
 
-    sol = ode.solve_ivp(rhs, (1.0, 2.0), [1.0 + 0j], rtol=1e-10, atol=1e-13)
+    sol = ode.solve_ivp(ode._kernels(ode._GENERIC, 1)(rhs), (1.0, 2.0), [1.0 + 0j],
+                        rtol=1e-10, atol=1e-13)
     assert sol.status == -1 and sol.message == "non-finite error estimate"
     assert 1.0 <= sol.t_fail < 1.5
 
@@ -233,8 +234,8 @@ def test_stepper_matches_scipy_dop853():
         return y[1], dp3_rhs(SolutionState(s, y[0], y[1]), a, P1)[1]
 
     grid = np.linspace(1.0, 50.0, 97)
-    ours = ode.solve_ivp(rhs, (0.02, 50.0), [seed.u, seed.du], rtol=1e-10, atol=1e-13,
-                         dense_at=grid)
+    ours = ode.solve_ivp(ode._kernels(ode._GENERIC, 2)(rhs), (0.02, 50.0), [seed.u, seed.du],
+                         rtol=1e-10, atol=1e-13, dense_at=grid)
     ref = solve_ivp(lambda s, y: np.asarray(rhs(s, y)), (0.02, 50.0),
                     np.array([seed.u, seed.du]), method="DOP853", rtol=1e-10,
                     atol=1e-13, dense_output=True)
@@ -376,15 +377,15 @@ def test_generated_kernels_equal_dense_formula():
             return tuple(sum(mij * yj for mij, yj in zip(mi, y)) + ci * t + y[i] * y[i - 1] / 4
                          for i, (mi, ci) in enumerate(zip(m, c)))
 
-        step, interpolant = ode._kernels(n)
+        _, step, interpolant = ode._kernels(ode._GENERIC, n)(fun)
         for t, h in rng.uniform(-1.0, 1.0, size=(8, 2)).tolist():
             y = cplx(n)
             f = fun(t, y)
-            y_new, err5, err3, ks = step(fun, t, h, y, f, 1e-13, 1e-10)
+            y_new, err5, err3, ks = step(t, h, y, f, 1e-13, 1e-10)
             ref_y, ref_err5, ref_err3, f_new, ref_coeffs = _dense_dop853(
                 fun, t, h, y, f, 1e-13, 1e-10)
             assert list(y_new) == ref_y and (err5, err3) == (ref_err5, ref_err3)
-            assert interpolant(fun, t, h, y, y_new, f_new, ks) == ref_coeffs
+            assert interpolant(t, h, y, y_new, f_new, ks) == ref_coeffs
 
 
 def test_integrate_tracks_phi():

@@ -9,8 +9,12 @@ e^{i pi eps1} and the ray sign (-1)^eps1, the large-argument scale and
 the oscillation weights' scale, the strip test, nu + 1, the sector's
 shifted a and its i-multiple, the canonical momentum, the small charts'
 log-branch brackets, their constants and exponent, and the fit's
-theta > 50 floor."""
+theta > 50 floor.
 
+No private module-level name is left behind: each is used in the package
+source beyond its definition."""
+
+import ast
 import re
 from pathlib import Path
 
@@ -90,3 +94,22 @@ def test_log_branch_constants_written_once_in_source():
 
 def test_theta_floor_written_once_in_source():
     assert files_with_lines_matching(r"\b50\.0\b") == ["connection.py"]
+
+
+def module_private_names(tree: ast.Module) -> list[str]:
+    """The private names that a module's top-level statements define."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def test_every_private_name_is_used_beyond_its_definition():
+    texts = [p.read_text() for p in sorted(SRC.glob("*.py"))]
+    source = "\n".join(texts)
+    defined = {n for text in texts for n in module_private_names(ast.parse(text))}
+    assert sorted(n for n in defined if len(re.findall(rf"\b{n}\b", source)) < 2) == []
