@@ -83,7 +83,7 @@ def backlund_step(state: SolutionState, a: complex, params: EquationParams,
 
 
 def ladder(seed: SolutionState, a0: complex, params: EquationParams, n_max: int,
-           seed_eval: SeedEval | None = None, check_seed: bool = True) -> list[LadderEntry]:
+           seed_eval: SeedEval | None = None) -> list[LadderEntry]:
     """Rungs ``n = 0..n_max`` obtained by iterated up-steps from ``seed``.
 
     When ``seed_eval`` is given (a closed-form or numeric evaluator of the
@@ -99,7 +99,7 @@ def ladder(seed: SolutionState, a0: complex, params: EquationParams, n_max: int,
     if tau == 0:
         raise SingularityError("tau = 0 is a singular point of the equation")
     try:
-        return _climb(seed, a0, params, n_max, seed_eval if check_seed else None)
+        return _climb(seed, a0, params, n_max, seed_eval)
     except (OverflowError, ZeroDivisionError) as exc:
         raise LadderBreakdownError(f"the ladder overflows at tau = {tau}: {exc}") from None
 
@@ -151,8 +151,7 @@ def _seed_residual(seed_eval: SeedEval, tau: complex, a: complex,
 
 def _reladder(entries: list[LadderEntry], a0: complex, params: EquationParams,
               seed_eval: SeedEval, tau: complex) -> list[LadderEntry]:
-    seed = seed_eval(tau)
-    return ladder(seed, a0, params, n_max=entries[-1].n, check_seed=False)
+    return ladder(seed_eval(tau), a0, params, n_max=entries[-1].n)
 
 
 def lattice_residuals(entries: list[LadderEntry], which: str, a0: complex,

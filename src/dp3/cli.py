@@ -167,12 +167,14 @@ def _seed_state(args, params) -> tuple[SolutionState, complex]:
     from . import asymptotics, connection, ode
 
     if args.point is not None:
+        if (args.u0, args.du0, args.a) != (None, None, None):
+            raise _ValidationError("--point seeds u, u' and a: give no --u0, --du0 or --a")
         pt = _load_point(args.point)
         return connection._chart_seed(pt, params, args.tau0, args.eps1), pt.a
     if args.u0 is None or args.du0 is None:
         raise _ValidationError("give either --point or both --u0 and --du0")
     tau0 = args.tau0 * asymptotics._ray_phase(args.eps1)
-    return ode.SolutionState(tau0, args.u0, args.du0), args.a
+    return ode.SolutionState(tau0, args.u0, args.du0), 0.0 if args.a is None else args.a
 
 
 def _cmd_integrate(args) -> int:
@@ -208,6 +210,8 @@ def _ladder_entries(args, params):
     if args.algebraic_seed:
         if args.a0 != 0:
             raise _ValidationError("the algebraic seed solves the equation at a0 = 0")
+        if (args.u0, args.du0) != (None, None):
+            raise _ValidationError("--algebraic-seed gives u and u': give no --u0 or --du0")
         seed_eval = lambda t: ode.algebraic_solution(t, params)  # noqa: E731
         seed = seed_eval(args.tau)
     else:
@@ -261,7 +265,7 @@ def _cmd_fit(args) -> int:
     if not (np.all(np.isfinite(tau)) and np.all(np.isfinite(u))):
         raise _ValidationError("trajectory CSV has non-finite tau or u samples")
     traj = ode.Trajectory(params, 0.0, tau, u, du, None, H)
-    fit = connection.fit_large_tau(traj, params, eps1=args.eps1)
+    fit = connection.fit_large_tau(traj, params)
     _emit({"nu_plus_1": _cpx(fit.nu_plus_1), "z": _cpx(fit.z),
            "residual_norm": fit.residual_norm, "condition": fit.condition,
            "oscillation_amplitude": fit.oscillation_amplitude,
@@ -302,7 +306,6 @@ def _complex(text: str) -> complex:
 _finite = _checked(float, math.isfinite, "a finite number")
 _finite_complex = _checked(_complex, cmath.isfinite, "a finite complex number")
 _count = _checked(int, lambda n: n >= 0, "a non-negative integer")
-_steps = _checked(int, lambda n: n >= 1, "an integer of at least 1")
 
 
 def _tol(text: str) -> float:
@@ -310,6 +313,13 @@ def _tol(text: str) -> float:
 
     lo, hi = ode._TOL_RANGE
     return _checked(float, lambda t: lo <= t <= hi, f"a tolerance in [{lo}, {hi}]")(text)
+
+
+def _steps(text: str) -> int:
+    from . import connection
+
+    hi = connection._MAX_STEPS
+    return _checked(int, lambda n: 1 <= n <= hi, f"an integer in [1, {hi}]")(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -376,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     ig.add_argument("--point", help="seed from this point's small-argument chart")
     ig.add_argument("--u0", type=_finite_complex)
     ig.add_argument("--du0", type=_finite_complex)
-    ig.add_argument("--a", type=_finite_complex, default=0.0)
+    ig.add_argument("--a", type=_finite_complex, help="the equation's a (default 0)")
     ig.add_argument("--tau0", type=_finite, required=True)
     ig.add_argument("--tau-end", type=_finite, required=True)
     ig.add_argument("--tol", type=_tol, default=1e-10)
@@ -401,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     lt.add_argument("--which", required=True, choices=("km", "dp", "toda", "f_rec"))
     lt.set_defaults(func=_cmd_lattice)
 
-    ft = sub.add_parser("fit", parents=[eps1, params, output],
+    ft = sub.add_parser("fit", parents=[params, output],
                         help="fit the large-argument chart to a trajectory CSV")
     ft.add_argument("--csv", required=True)
     ft.set_defaults(func=_cmd_fit)

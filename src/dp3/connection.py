@@ -28,6 +28,7 @@ __all__ = _EXPORTS["connection"]
 
 _TWO_PI = 2.0 * math.pi
 _THETA_MIN = 50.0  # every fit window lies above theta = 50
+_MAX_STEPS = 1024  # largest tau0_steps and tau1_steps: 2**(steps - 1) is a finite float
 
 
 @dataclass(frozen=True)
@@ -61,8 +62,9 @@ def fit_large_tau(traj: Trajectory, params: EquationParams,
     weights at the minimum.  ``residual_norm`` and ``condition`` are the
     norm of that residual and the condition number of the basis there.
     Fewer than 5 samples, non-finite samples, windows that start below
-    theta = 50 and windows with fewer than 4 distinct |tau| (a singular
-    basis) raise ``ConditionViolationError``.
+    theta = 50, samples off the ray arg tau = pi ``eps1`` (by default the
+    real ray nearest the first sample) and windows with fewer than 4
+    distinct |tau| (a singular basis) raise ``ConditionViolationError``.
     """
     m = np.abs(traj.tau)
     if len(m) <= 4:
@@ -78,6 +80,9 @@ def fit_large_tau(traj: Trajectory, params: EquationParams,
             f"fit window starts at |tau| = {m.min():.4g} "
             f"(theta = {theta.min():.1f} < {_THETA_MIN:g}); "
             f"it must start at |tau| >= {_theta_floor(params):.4g}")
+    if not _on_ray(traj.tau, eps1):
+        raise ConditionViolationError(
+            f"the samples lie off the ray arg tau = pi eps1 (eps1 = {eps1}) of the model")
     C = _large_scale(params, eps1)
     osc = np.asarray(traj.u, dtype=complex) / C - np.sqrt(theta / 12.0)
     amp = float(np.max(np.abs(osc)))
@@ -261,6 +266,11 @@ def _z_on_branch(fit: LargeTauFit, nu_plus_1: complex) -> complex:
     return fit.z
 
 
+def _on_ray(tau, eps1: int) -> bool:
+    """Whether tau (a nonzero number or array) lies on the ray arg tau = pi eps1."""
+    return bool(np.all(np.abs(tau / np.abs(tau) - _ray_phase(eps1)) <= 1e-12))
+
+
 def _chart_seed(pt: MonodromyPoint, params: EquationParams, tau0: float,
                 eps1: int) -> SolutionState:
     """(tau, u, u') at |tau| = tau0 on the ray arg tau = pi eps1, from the
@@ -288,7 +298,9 @@ def verify_connection(pt: MonodromyPoint, params: EquationParams,
     ``seed_state`` replaces the small-chart seeds when the exact solution
     is known (then only the large side is under test, the small-chart
     conditions are not required); its ray is the only one, so every row's
-    tau0 is |seed_state.tau|.
+    tau0 is |seed_state.tau|.  A ``seed_state`` off the ray arg tau =
+    pi ``eps1``, whose chart the fit reads, raises
+    ``ConditionViolationError`` before anything is integrated.
 
     Every fit window lies above the theta > 50 floor, so a smallest rung
     ``tau1 / 2**(tau1_steps - 1)`` below it raises
@@ -299,13 +311,18 @@ def verify_connection(pt: MonodromyPoint, params: EquationParams,
     integer in [1, 1024] (where 2**(steps - 1) is a finite float).
     """
     for name, count in (("tau0_steps", tau0_steps), ("tau1_steps", tau1_steps)):
-        if not (isinstance(count, numbers.Integral) and 1 <= count <= 1024):
-            raise ConditionViolationError(f"{name} must be an integer in [1, 1024]")
+        if not (isinstance(count, numbers.Integral) and 1 <= count <= _MAX_STEPS):
+            raise ConditionViolationError(f"{name} must be an integer in [1, {_MAX_STEPS}]")
     if not (math.isfinite(tau0) and math.isfinite(tau1)):
         raise ConditionViolationError("tau0 and tau1 must be finite")
     if seed_state is None and not tau0 > 0:
         raise ConditionViolationError(
             f"verify_connection: tau0 = {tau0!r} must be positive (the seed |tau|)")
+    # tau = 0 is left to integrate_ray's SingularityError
+    if seed_state is not None and seed_state.tau != 0 and not _on_ray(seed_state.tau, eps1):
+        raise ConditionViolationError(
+            f"seed_state.tau = {seed_state.tau} is off the ray arg tau = pi eps1 "
+            f"(eps1 = {eps1}) whose large-argument chart is fitted")
     floor = _theta_floor(params)
     halvings = 2.0 ** (tau1_steps - 1)
     if tau1 / halvings < floor:

@@ -480,10 +480,13 @@ def point_from_json(text: str) -> MonodromyPoint:
         pair = data[key]
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise ValueError(f"key {key!r} must be a [re, im] pair")
+        # JSON numbers only: float() would also take "0.5" and false
+        if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair):
+            raise ValueError(f"key {key!r} must be a pair of numbers")
         try:
             vals[key] = complex(float(pair[0]), float(pair[1]))
-        except (TypeError, ValueError):
-            raise ValueError(f"key {key!r} must be a pair of numbers") from None
+        except OverflowError:  # an integer beyond the float range
+            raise ValueError(f"key {key!r} must be finite") from None
         if not cmath.isfinite(vals[key]):
             raise ValueError(f"key {key!r} must be finite")
     return MonodromyPoint(**vals)

@@ -55,6 +55,7 @@ from .params import EquationParams, _shifted_a, _shifted_ai
 __all__ = _EXPORTS["ode"]
 
 _TOL_RANGE = (1e-13, 1e-6)
+_U_BOUNDS = (1e-8, 1e8)  # integrate_ray stops where |u| leaves these: a zero or pole
 
 
 @dataclass(frozen=True)
@@ -160,58 +161,60 @@ def hamiltonian_u(state: SolutionState, a: complex, params: EquationParams) -> c
     return _hamiltonian(tau, u, du, a, params)
 
 
+# The one canonical channel, eps1 = -1 (+1 generates the equation in no
+# sector).  Its -2.0 and -1.0 factors keep the label's signed zeros.
 @errors.finite_result
 def hamiltonian_pq(p: complex, q: complex, tau: complex, a: complex,
-                   params: EquationParams, eps1_h: int = -1) -> complex:
-    """Canonical-variables Hamiltonian H_{eps1_h}(p, q; tau); its formal constant
+                   params: EquationParams) -> complex:
+    """Canonical-variables Hamiltonian H_{-1}(p, q; tau); its formal constant
     is i times ``hamiltonian_u``'s shifted a, in which the channel is covariant."""
     k = _shifted_ai(a, params.sign2)
-    return p * p * q * q / tau - 2.0 * eps1_h * p * q * k / tau \
+    return p * p * q * q / tau - -2.0 * p * q * k / tau \
         + 4.0 * params.eps * q + 1j * params.b * p + k * k / (2.0 * tau)
 
 
 @errors.finite_result
 def hamiltonian_system_rhs(p: complex, q: complex, tau: complex, a: complex,
-                           params: EquationParams, eps1_h: int = -1) -> tuple[complex, complex]:
-    """Hamilton's equations: (dp/dtau, dq/dtau) = (-dH/dq, +dH/dp)."""
+                           params: EquationParams) -> tuple[complex, complex]:
+    """Hamilton's equations: (dp/dtau, dq/dtau) = (-dH/dq, +dH/dp).  With
+    q = u and p = ``p_from_u`` this is the equation at a when eps b > 0,
+    and at a + i when eps b < 0 (the sector constant k = i a - 1/2)."""
     if tau == 0:
         raise SingularityError("tau = 0 is a singular point of the system")
     k = _shifted_ai(a, params.sign2)
-    dp = -(2.0 * p * p * q / tau - 2.0 * eps1_h * p * k / tau + 4.0 * params.eps)
-    dq = 2.0 * p * q * q / tau - 2.0 * eps1_h * q * k / tau + 1j * params.b
+    dp = -(2.0 * p * p * q / tau - -2.0 * p * k / tau + 4.0 * params.eps)
+    dq = 2.0 * p * q * q / tau - -2.0 * q * k / tau + 1j * params.b
     return dp, dq
 
 
-def _momentum(tau, u, du, k: complex, params: EquationParams, eps1_h: int) -> complex:
-    """p = tau (u' - i b) / (2 u^2) + k eps1_h / u at the channel constant k."""
-    return tau * (du - 1j * params.b) / (2.0 * u * u) + k * eps1_h / u
+def _momentum(tau, u, du, k: complex, params: EquationParams) -> complex:
+    """p = tau (u' - i b) / (2 u^2) - k / u at the channel constant k."""
+    return tau * (du - 1j * params.b) / (2.0 * u * u) + k * -1.0 / u
 
 
 @errors.finite_result
-def p_from_u(state: SolutionState, a: complex, params: EquationParams,
-             eps1_h: int = -1) -> complex:
-    """Conjugate momentum for q = u (same sector constant as the
-    Hamiltonian channel)."""
+def p_from_u(state: SolutionState, a: complex, params: EquationParams) -> complex:
+    """Conjugate momentum for q = u at the channel's sector constant
+    k = i a + sign2 / 2: Hamilton's equations from it give the equation at
+    a when eps b > 0 and at a + i when eps b < 0."""
     tau, u, du = _check_state(state)
-    return _momentum(tau, u, du, _shifted_ai(a, params.sign2), params, eps1_h)
+    return _momentum(tau, u, du, _shifted_ai(a, params.sign2), params)
 
 
 @errors.finite_result
 def sigma_and_f(state: SolutionState, a: complex, params: EquationParams) -> tuple[complex, complex]:
-    """(sigma, f) built on the eps1_h = -1 channel:
-    f = p q / 2 and sigma = (p q - eps1 (a i + 1/2 - eps1/2))^2
-    + tau (4 eps q + i b p).
+    """(sigma, f) built on the canonical channel:
+    f = p q / 2 and sigma = (p q + a i + 1)^2 + tau (4 eps q + i b p).
 
     This channel is sector-free (its defining equations never reference
     the coupling's argument), so the plain constant ``ai + 1/2`` is used
     regardless of eps2."""
-    eps1_h = -1
     tau, u, du = _check_state(state)
     k = _shifted_ai(a, 1)
-    p = _momentum(tau, u, du, k, params, eps1_h)
+    p = _momentum(tau, u, du, k, params)
     q = u
     f = p * q / 2.0
-    sigma = (p * q - eps1_h * (k - eps1_h / 2.0)) ** 2 \
+    sigma = (p * q - -1 * (k - -0.5)) ** 2 \
         + tau * (4.0 * params.eps * q + 1j * params.b * p)
     return sigma, f
 
@@ -238,15 +241,12 @@ def to_abcd(state: SolutionState, a: complex, params: EquationParams
 @errors.finite_result
 def hamiltonian_abcd(A: complex, B: complex, C: complex, D: complex, tau: complex,
                      a: complex, params: EquationParams,
-                     sqrt_ab: complex | None = None) -> HamiltonianSplit:
+                     sqrt_ab: complex) -> HamiltonianSplit:
     """Hamiltonian from the matrix entries, split into origin/infinity
     parts.  ``sqrt_ab`` fixes the branch of sqrt(-A B); it must equal
-    u/(eps tau) when the entries come from a solution (pass it explicitly;
-    the principal root is only a fallback)."""
+    u/(eps tau) when the entries come from a solution."""
     if A * B == 0:
         raise SingularityError("A B = 0 is outside the parametrised stratum")
-    if sqrt_ab is None:
-        sqrt_ab = cmath.sqrt(-A * B)
     k = _shifted_ai(a, 1)
     H = (k + 2.0 * tau * A * D / sqrt_ab) ** 2 / (2.0 * tau) + 4.0 * tau * sqrt_ab \
         - 1j * params.eps * params.b * D / B + 2.0 * tau * C * D + A * D / sqrt_ab
@@ -294,14 +294,13 @@ def _ray_cbrt(tau: complex) -> complex:
 
 def integrate_ray(initial: SolutionState, a: complex, params: EquationParams,
                   tau_end: float, tol: float = 1e-10,
-                  dense_at: np.ndarray | None = None,
-                  u_floor: float = 1e-8, u_ceil: float = 1e8) -> Trajectory:
+                  dense_at: np.ndarray | None = None) -> Trajectory:
     """Integrate from ``initial`` along its ray until ``|tau| = tau_end``
     with the Dormand-Prince 8(5,3) pair (the in-house DOP853 stepper
     ``solve_ivp`` below, ``rtol = tol``, ``atol = 1e-3 tol``), stopping
-    with a located failure if ``|u|`` leaves ``[u_floor, u_ceil]``.  A
-    seed outside those bounds raises ``ConditionViolationError`` before
-    the first step.
+    with a located failure if ``|u|`` leaves the fixed bounds
+    ``[1e-8, 1e8]``.  A seed outside those bounds raises
+    ``ConditionViolationError`` before the first step.
 
     ``dense_at`` selects output magnitudes |tau| in any order, filled from
     the 7th-order interpolant (default: the accepted steps).  They must lie
@@ -339,10 +338,11 @@ def integrate_ray(initial: SolutionState, a: complex, params: EquationParams,
     s1 = float(tau_end)
     if s1 <= 0 or s1 == s0:
         raise ConditionViolationError("tau_end must be a positive magnitude distinct from |tau0|")
+    u_floor, u_ceil = _U_BOUNDS
     if not u_floor <= abs(initial.u) <= u_ceil:
         raise ConditionViolationError(
             f"the seed's |u(tau0)| = {abs(initial.u):.6g} lies outside "
-            f"[u_floor, u_ceil] = [{u_floor:g}, {u_ceil:g}]")
+            f"the fixed |u| bounds [{u_floor:g}, {u_ceil:g}]")
     if dense_at is not None:
         s_req = np.asarray(dense_at, dtype=float)
         if not np.all((min(s0, s1) <= s_req) & (s_req <= max(s0, s1))):
@@ -355,7 +355,7 @@ def integrate_ray(initial: SolutionState, a: complex, params: EquationParams,
     kernels = _kernels(_RAY, len(y0))(
         complex(phase), *_ray_constants(ca, params), 2.0 * ca, float(params.b))
     sol = solve_ivp(kernels, (s0, s1), y0, rtol=tol, atol=tol * 1e-3, dense_at=dense_at,
-                    bounds=(u_floor, u_ceil))
+                    bounds=_U_BOUNDS)
     if sol.status == 1:  # approached a zero or pole
         raise IntegrationFailureError(
             f"|u| left [{u_floor}, {u_ceil}] near |tau| = {sol.t_fail:.6g}; "

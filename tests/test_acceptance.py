@@ -220,8 +220,8 @@ def test_criterion_08_hamiltonian_cross_checks():
     worst_pq, worst_abcd, worst_split = 0.0, 0.0, 0.0
     for st, a, params in _item12_states():
         Hu = hamiltonian_u(st, a, params)
-        p = p_from_u(st, a, params, -1)
-        worst_pq = max(worst_pq, abs(Hu - hamiltonian_pq(p, st.u, st.tau, a, params, -1)))
+        p = p_from_u(st, a, params)
+        worst_pq = max(worst_pq, abs(Hu - hamiltonian_pq(p, st.u, st.tau, a, params)))
         A, B, C, D = to_abcd(st, a, params)
         hs = hamiltonian_abcd(A, B, C, D, st.tau, a, params,
                               sqrt_ab=st.u / (params.eps * st.tau))

@@ -1,6 +1,7 @@
 """Bad arguments to the library raise ``ConditionViolationError``: a rung
-count, a lattice identity, a ladder or a Stokes index window that the
-call cannot use is rejected before any work, and every argument check of
+count, a lattice identity, a ladder, a Stokes index window or a given
+connection seed off the fitted ray that the call cannot use is rejected
+before any work, and every argument check of
 the branch systems, the group actions, the Backlund and Lie-point maps,
 the lattice residuals, the equation parameters, the sampler, the ray
 integrator and the grid residual raises that type.  A seed at tau = 0 and
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 from dp3.backlund import backlund_step, ladder, lattice_residuals, lie_point_solution
+from dp3.connection import verify_connection
 from dp3.errors import ConditionViolationError, LadderBreakdownError, SingularityError
 from dp3.monodromy import (
     apply_F,
@@ -46,8 +48,14 @@ def no_work(tau):
     lambda: lattice_residuals(ladder(SEED, 0.0, P, 1), "bogus", 0.0, P, seed_eval=no_work),
     lambda: stokes_structure(PT, 2.5, 3),
     lambda: stokes_structure(PT, 3, 1),
+    # the exact a = 0 solution on the negative ray, checked against the
+    # positive ray's chart: it gave err_nu = 10.6 and no error
+    lambda: verify_connection(from_branch(1, 0.0, g11=1, g12=0, g21=0, g22=1), P,
+                              tau0=0.01, tau1=100.0, tau1_steps=1,
+                              seed_state=algebraic_solution(-0.01, P)),
 ], ids=["ladder-fractional-n_max", "ladder-negative-n_max", "lattice-empty-ladder",
-        "lattice-unknown-identity", "stokes-fractional-k_min", "stokes-empty-window"])
+        "lattice-unknown-identity", "stokes-fractional-k_min", "stokes-empty-window",
+        "verify-seed-off-ray"])
 def test_unusable_arguments_raise_before_any_work(call):
     with pytest.raises(ConditionViolationError):
         call()
@@ -87,7 +95,8 @@ def test_argument_checks_raise_condition_violation(call):
 @pytest.mark.parametrize("call, error, message", [
     (lambda: integrate_ray(SolutionState(0.0, 1.0, 1.0), 0.0, P, 2.0), SingularityError,
      "at tau = 0"),
-    (lambda: hamiltonian_abcd(0.0, 1.0, 1.0, 1.0, 1.0, 0.0, P), SingularityError, "A B = 0"),
+    (lambda: hamiltonian_abcd(0.0, 1.0, 1.0, 1.0, 1.0, 0.0, P, 1.0), SingularityError,
+     "A B = 0"),
     (lambda: ladder(SolutionState(1.0, 0.0, 1.0), 0.0, P, 1), LadderBreakdownError,
      "u_0 vanishes"),
     (lambda: ladder(SolutionState(1.0, 1e300, 1e300), 0.0, P, 1), LadderBreakdownError,

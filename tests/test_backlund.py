@@ -128,7 +128,7 @@ def test_v_consistency_with_km_flow(ladder7):
     ieb = 1j * P1.eps * P1.b
 
     def v_of(t, m):
-        return ladder(algebraic_solution(t, P1), 0.0, P1, 7, check_seed=False)[m].v
+        return ladder(algebraic_solution(t, P1), 0.0, P1, 7)[m].v
 
     def dv(t, vn):
         return (-4.0 / ieb) * t * vn**2 * (v_of(t, n - 1) - v_of(t, n + 1))
@@ -215,7 +215,7 @@ def test_ladder_and_lattice_raise_typed_errors_out_of_range():
     for tau in (1e300, 1e-159):  # the rungs, or the seed check's h**2, overflow
         with pytest.raises(LadderBreakdownError):
             ladder(seed_eval(tau), 0.0, P1, 3, seed_eval=seed_eval)
-    entries = ladder(seed_eval(1e-100), 0.0, P1, 7, check_seed=False)
+    entries = ladder(seed_eval(1e-100), 0.0, P1, 7)
     for which in ("dp", "toda"):  # NaN residuals before
         with pytest.raises(ConditionViolationError, match="not finite"):
             lattice_residuals(entries, which, 0.0, P1, seed_eval=seed_eval)

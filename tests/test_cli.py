@@ -277,6 +277,27 @@ def test_integrate_then_fit_roundtrip(tmp_path, capsys, point_file):
     assert err < 5e-2
 
 
+def test_fit_reads_the_ray_from_the_csv(tmp_path, capsys, point_file):
+    # a negative-ray window: the fit takes arg tau = pi from the samples,
+    # as fit_large_tau does (a fixed positive ray flipped the model's scale)
+    from dp3.connection import _chart_seed, _theta_floor, fit_large_tau
+    from dp3.ode import integrate_ray, trajectory_to_csv
+
+    _, pt = point_file
+    params = EquationParams.make(1, 1.0)
+    traj = integrate_ray(_chart_seed(pt, params, 0.02, 1), pt.a, params, 260.0,
+                         dense_at=np.linspace(_theta_floor(params), 260.0, 120))
+    csv_path = tmp_path / "traj.csv"
+    csv_path.write_text(trajectory_to_csv(traj))
+    code, out, _ = run_cli(capsys, ["fit", "--csv", str(csv_path), "--eps", "1", "--b", "1"])
+    assert code == 0
+    fit = fit_large_tau(traj, params)
+    assert json.loads(out) == {
+        "nu_plus_1": [fit.nu_plus_1.real, fit.nu_plus_1.imag], "z": [fit.z.real, fit.z.imag],
+        "residual_norm": fit.residual_norm, "condition": fit.condition,
+        "oscillation_amplitude": fit.oscillation_amplitude, "special": fit.special}
+
+
 def test_chart_command(point_file, capsys):
     path, _ = point_file
     code, out, _ = run_cli(capsys, [
@@ -407,7 +428,8 @@ def test_verify_defaults_match_library(point_file, capsys):
 
 @pytest.mark.parametrize("flag", ["--tau0-steps", "--tau1-steps"])
 @pytest.mark.parametrize("steps", ["1100", "2000"])
-def test_verify_overflowing_step_count_exit3(point_file, capsys, monkeypatch, flag, steps):
+def test_verify_overflowing_step_count_exit2(point_file, capsys, monkeypatch, flag, steps):
+    # the parser reads the library's [1, 1024] bound, as it does for 0
     from dp3 import connection
 
     def no_integration(*args, **kw):
@@ -417,9 +439,9 @@ def test_verify_overflowing_step_count_exit3(point_file, capsys, monkeypatch, fl
     path, _ = point_file
     code, out, err = run_cli(capsys, [
         "verify-connection", "--point", path, "--eps", "1", "--b", "1", flag, steps])
-    assert code == 3 and out == "" and len(err.splitlines()) == 1
-    _assert_json_error(err, "condition-violation")
-    assert flag[2:].replace("-", "_") in json.loads(err)["message"]
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    _assert_json_error(err, "validation")
+    assert f"{flag}: '{steps}' is not an integer in [1, 1024]" in json.loads(err)["message"]
 
 
 @pytest.mark.parametrize("eps1", ["0", "1"])

@@ -31,9 +31,18 @@ def point_path(tmp_path_factory):
     ["chart", "large", *PARAMS],
     [],
     ["ladder", "--tau", "1", "--n-max", "2", "--algebraic-seed", *PARAMS, "--bogus"],
+    # flags that the command would ignore, and a step count beyond the
+    # library's bound (it exited 3 where 0 exited 2)
+    ["integrate", "--point", "{point}", "--u0", "5", "--du0", "1", "--a", "0.3",
+     "--tau0", "0.02", "--tau-end", "3", *PARAMS],
+    ["ladder", "--tau", "1", "--n-max", "2", "--algebraic-seed", "--u0", "1", "--du0", "1",
+     *PARAMS],
+    ["lattice", "--which", "km", "--tau", "1", "--n-max", "2", "--algebraic-seed",
+     "--u0", "1", "--du0", "1", *PARAMS],
+    ["verify-connection", "--point", "{point}", "--tau1-steps", "2000", *PARAMS],
 ])
-def test_malformed_command_line_is_one_json_line(argv, capsys):
-    code = cli.main(argv)
+def test_malformed_command_line_is_one_json_line(argv, point_path, capsys):
+    code = cli.main([point_path if a == "{point}" else a for a in argv])
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
     lines = err.splitlines()
@@ -103,13 +112,17 @@ def _point_with_g12(point_path, pair):
 @pytest.mark.parametrize("command, content", [
     ("check", lambda path: _point_with_g12(path, [1, None])),
     ("check", lambda path: _point_with_g12(path, [{}, 0])),
+    ("check", lambda path: _point_with_g12(path, ["0.9544262594605171", 0])),
+    ("check", lambda path: _point_with_g12(path, [0.9544262594605171, False])),
+    ("check", lambda path: _point_with_g12(path, [10**400, 0])),
     ("check", lambda path: b"5"),
     ("check", lambda path: b"\xff\xfe"),
     ("check", lambda path: b"[" * 100_000 + b"]" * 100_000),
     ("fit", lambda path: b""),
     ("fit", lambda path: (CSV_HEADER + "1,2,3\n").encode()),
     ("fit", lambda path: b"\xff\xfe"),
-], ids=["pair-null", "pair-object", "not-an-object", "point-not-utf8", "nested-too-deeply",
+], ids=["pair-null", "pair-object", "pair-string", "pair-boolean", "pair-huge-integer",
+        "not-an-object", "point-not-utf8", "nested-too-deeply",
         "csv-empty", "csv-short-row", "csv-not-utf8"])
 def test_malformed_input_file_is_one_json_line(command, content, point_path, tmp_path, capsys):
     target = tmp_path / "input"

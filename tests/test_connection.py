@@ -65,6 +65,18 @@ def test_fit_singular_window_raises(fit_point):
         fit_large_tau(synthetic_trajectory(ch, np.full(6, 100.0)), P1)
 
 
+def test_fit_rejects_samples_off_the_models_ray(fit_point):
+    # a window on arg tau = pi/2 was fitted with the positive ray's model
+    # (arg tau / pi rounds to 0) and no error; so was any window under an
+    # eps1 of another ray
+    ch = large_tau_chart(fit_point, 0, P1)
+    traj = synthetic_trajectory(ch, np.linspace(100.0, 400.0, 300))
+    turned = Trajectory(P1, 0.0, 1j * traj.tau, traj.u, traj.du, None, traj.H)
+    for window, eps1 in ((turned, None), (traj, 1)):
+        with pytest.raises(ConditionViolationError, match="off the ray arg tau = pi eps1"):
+            fit_large_tau(window, P1, eps1)
+
+
 def test_fit_flags_algebraic_as_special():
     grid = np.linspace(100.0, 300.0, 200)
     u = np.array([algebraic_solution(m, P1).u for m in grid])

@@ -151,7 +151,6 @@ def test_state_functions_return_finite_values_or_raise_typed_errors(
         call(fn, state, a, params)
     abcd = call(to_abcd, state, a, params)
     if abcd is not None:
-        call(hamiltonian_abcd, *abcd, state.tau, a, params)
         call(hamiltonian_abcd, *abcd, state.tau, a, params, sqrt_ab)
     call(hamiltonian_pq, p, q, tau, a, params)
     call(hamiltonian_system_rhs, p, q, tau, a, params)

@@ -443,17 +443,15 @@ def test_hamiltonian_hand_value():
 def test_hamiltonian_matches_canonical_channel():
     for tau in (0.7, 1.0, 2.3):
         st = algebraic_solution(tau, P1)
-        p = p_from_u(st, 0.0, P1, -1)
-        assert abs(hamiltonian_pq(p, st.u, tau, 0.0, P1, -1)
+        p = p_from_u(st, 0.0, P1)
+        assert abs(hamiltonian_pq(p, st.u, tau, 0.0, P1)
                    - hamiltonian_u(st, 0.0, P1)) < 1e-13
 
 
 def test_p_from_u_hand_value_and_channel_shift():
     st = algebraic_solution(1.0, P1)
-    p = p_from_u(st, 0.0, P1, -1)
+    p = p_from_u(st, 0.0, P1)
     assert abs(p - (-2.0 / 3.0 - 2.0j)) < 1e-14
-    p_plus = p_from_u(st, 0.0, P1, 1)
-    assert abs(p_plus - p - 2.0 * (0.5) / st.u) < 1e-14
 
 
 def test_sigma_and_f_hand_values():
@@ -583,12 +581,12 @@ def test_residual_on_grid_validates_input():
 # ------------------------------------------------------ Hamiltonian system
 
 def test_hamiltonian_system_reproduces_solution():
-    a, eps1h = 0.0, -1
+    a = 0.0
     st = algebraic_solution(1.0, P1)
-    p0 = p_from_u(st, a, P1, eps1h)
+    p0 = p_from_u(st, a, P1)
 
     def rhs(t, y):
-        dp, dq = hamiltonian_system_rhs(y[0], y[1], t, a, P1, eps1h)
+        dp, dq = hamiltonian_system_rhs(y[0], y[1], t, a, P1)
         return [dp, dq]
 
     sol = solve_ivp(rhs, (1.0, 10.0), np.array([p0, st.u], dtype=complex),
@@ -601,9 +599,32 @@ def test_hamiltonian_system_reproduces_solution():
 
 def test_hamiltonian_system_derivative_identity():
     st = algebraic_solution(1.0, P1)
-    p0 = p_from_u(st, 0.0, P1, -1)
-    _, dq = hamiltonian_system_rhs(p0, st.u, 1.0, 0.0, P1, -1)
+    p0 = p_from_u(st, 0.0, P1)
+    _, dq = hamiltonian_system_rhs(p0, st.u, 1.0, 0.0, P1)
     assert abs(dq - 1.0 / 6.0) < 1e-12
+
+
+@pytest.mark.parametrize("params, shift", [
+    (P1, 0.0), (EquationParams.make(-1, 2.0), 1j), (EquationParams.make(1, -1.0, -1), 1j),
+], ids=["eps-b-positive", "eps-b-negative", "eps-b-negative-eps2-minus"])
+def test_channel_generates_the_equation_at_its_sector_a(params, shift):
+    # Hamilton's equations from p_from_u against the u-flow, whose dp/dtau is
+    # a finite difference of p along the flow's tangent (1, u', u''): the
+    # flow at a when eps b > 0, at a + i when eps b < 0 (k = i a - 1/2)
+    a = 0.3 + 0.2j
+    st = SolutionState(0.5, 0.7 - 0.4j, 0.2 + 0.9j)
+    dp, dq = hamiltonian_system_rhs(p_from_u(st, a, params), st.u, st.tau, a, params)
+
+    def flow_dp(a_flow):
+        du, ddu = ode.dp3_rhs(st, a_flow, params)
+        h = 1e-3
+        p = [p_from_u(SolutionState(st.tau + k * h, st.u + k * h * du, st.du + k * h * ddu),
+                      a, params) for k in (-2, -1, 1, 2)]
+        return (p[0] - 8.0 * p[1] + 8.0 * p[2] - p[3]) / (12.0 * h)
+
+    assert abs(dq - st.du) < 1e-12
+    assert abs(dp - flow_dp(a + shift)) < 1e-8
+    assert abs(dp - flow_dp(a + 1j - shift)) > 0.5  # the other a is off by order 1
 
 
 def test_hamiltonian_total_vs_partial_time_derivative():
@@ -612,11 +633,11 @@ def test_hamiltonian_total_vs_partial_time_derivative():
 
     def pq(tau):
         st = algebraic_solution(tau, P1)
-        return p_from_u(st, a, P1, eps1h), st.u
+        return p_from_u(st, a, P1), st.u
 
     for tau in (1.0, 2.5):
         h = 1e-5 * tau
-        vals = [hamiltonian_pq(*pq(tau + k * h), tau + k * h, a, P1, eps1h)
+        vals = [hamiltonian_pq(*pq(tau + k * h), tau + k * h, a, P1)
                 for k in (-1, 0, 1)]
         total = (vals[2] - vals[0]) / (2 * h)
         p, q = pq(tau)
@@ -635,7 +656,7 @@ def test_hamiltonian_u_smoothness_along_trajectory():
                 for k in (-1, 0, 1)]
         total = (vals[2] - vals[0]) / (2 * h)
         st = algebraic_solution(tau, P1)
-        p, q = p_from_u(st, a, P1, eps1h), st.u
+        p, q = p_from_u(st, a, P1), st.u
         k = a * 1j + 0.5
         partial = -p * p * q * q / tau**2 + 2.0 * eps1h * p * q * k / tau**2 \
             - k * k / (2.0 * tau**2)
@@ -672,9 +693,8 @@ def test_seed_outside_the_u_bounds_raises_before_any_step(monkeypatch):
     # this seed read "|u| left [1e-08, 1e+08] near |tau| = 0.5; the ray hits a
     # zero or pole of the solution", an IntegrationFailureError
     monkeypatch.setattr(ode, "solve_ivp", None)  # any step would call it
-    for u0, bounds in ((1e-10, {}), (3e3 + 4e3j, {"u_ceil": 1e3}), (1e-3, {"u_floor": 0.1})):
+    for u0 in (1e-10, 3e8 + 4e8j):
         with pytest.raises(ConditionViolationError) as exc:
-            integrate_ray(SolutionState(0.5, u0, 1e-3), 0.0, P1, 2.0, **bounds)
-        floor, ceil = bounds.get("u_floor", 1e-8), bounds.get("u_ceil", 1e8)
+            integrate_ray(SolutionState(0.5, u0, 1e-3), 0.0, P1, 2.0)
         assert str(exc.value) == (f"the seed's |u(tau0)| = {abs(u0):.6g} lies outside "
-                                  f"[u_floor, u_ceil] = [{floor:g}, {ceil:g}]")
+                                  "the fixed |u| bounds [1e-08, 1e+08]")
