@@ -354,7 +354,7 @@ def small_tau_chart(pt: MonodromyPoint, eps1: int, params: EquationParams) -> Sm
                              None, None, None, None, None, None, None, None,
                              a2=a2, b2=b2, a2_second=a2s, b2_second=b2s,
                              prefactor=pref)
-    rho = rho_from(MonodromyPoint(a, s00, 0, 0, 1, 0, 0, 1))
+    rho = rho_from(pt)
     if abs(rho) <= _ZERO_TOL:
         raise ConditionViolationError("rho = 0 but s00 != 2i: inconsistent point")
     if rho.real >= 0.5 - _ZERO_TOL:

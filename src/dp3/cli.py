@@ -88,9 +88,26 @@ def _cmd_monodromy_check(args) -> int:
     return 0
 
 
+# the flags each map reads, with their defaults; Fhat's --eps1 has none
+_MAP_FLAGS = {
+    "F": {"eps1": 0, "eps2": 0},
+    "Fhat": {"eps1": None, "eps2": 0},
+    "backlund": {"direction": "up"},
+    "lie": {"kind": "negate_tau", "p": 1, "l": 1},
+}
+
+
 def _cmd_monodromy_map(args) -> int:
     from . import monodromy
 
+    flags = _MAP_FLAGS[args.map]
+    for name in ("eps1", "eps2", "direction", "kind", "p", "l"):
+        if getattr(args, name) is None:
+            setattr(args, name, flags.get(name))
+        elif name not in flags:
+            raise _ValidationError(f"--map {args.map} takes no --{name}")
+    if args.map == "Fhat" and args.eps1 not in (1, -1):
+        raise _ValidationError("--map Fhat needs --eps1 1 or -1")
     pt = _load_point(args.point)
     if args.map == "F":
         out = monodromy.apply_F(pt, args.eps1, args.eps2)
@@ -349,14 +366,16 @@ def build_parser() -> argparse.ArgumentParser:
     msub = mono.add_subparsers(dest="subcommand", required=True)
     mc = msub.add_parser("check", parents=[point, output])
     mc.set_defaults(func=_cmd_monodromy_check)
-    mm = msub.add_parser("map", parents=[point, eps1])
+    # no defaults here: _cmd_monodromy_map fills in those of the chosen map
+    # and rejects a flag that the map would ignore
+    mm = msub.add_parser("map", parents=[point])
     mm.add_argument("--map", required=True, choices=("F", "Fhat", "backlund", "lie"))
-    mm.add_argument("--eps2", type=int, default=0, choices=(0, 1, -1))
-    mm.add_argument("--direction", default="up", choices=("up", "down"))
-    mm.add_argument("--kind", default="negate_tau",
-                    choices=("negate_tau", "negate_a", "rotate_tau"))
-    mm.add_argument("--p", type=int, default=1, choices=(1, -1))
-    mm.add_argument("--l", type=int, default=1, choices=(1, -1))
+    mm.add_argument("--eps1", type=int, choices=(0, 1, -1))
+    mm.add_argument("--eps2", type=int, choices=(0, 1, -1))
+    mm.add_argument("--direction", choices=("up", "down"))
+    mm.add_argument("--kind", choices=("negate_tau", "negate_a", "rotate_tau"))
+    mm.add_argument("--p", type=int, choices=(1, -1))
+    mm.add_argument("--l", type=int, choices=(1, -1))
     mm.set_defaults(func=_cmd_monodromy_map)
     ms = msub.add_parser("sample", parents=[output])
     ms.add_argument("--seed", type=int, required=True)

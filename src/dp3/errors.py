@@ -53,16 +53,16 @@ _NUMBERS = (complex, float, int)
 
 def _finite(value) -> bool:
     """Whether a number, the sum of a tuple or list of numbers (a numpy
-    array is read as one), or every number field of a result object (a
-    chart) is finite.  One
-    non-finite entry makes the sum non-finite, and so does a sum beyond the
-    largest float."""
+    array is read as one), or the sum of the number fields of a result
+    object (a chart, a point; numpy's float64 and complex128 scalars are
+    numbers) is finite.  One non-finite entry makes the sum non-finite,
+    and so does a sum beyond the largest float."""
     if type(value) in _NUMBERS:
         return cmath.isfinite(value)
     if isinstance(value, (tuple, list)):
         return cmath.isfinite(sum(value))
     if hasattr(value, "__dict__"):
-        return all([cmath.isfinite(v) for v in vars(value).values() if type(v) in _NUMBERS])
+        return cmath.isfinite(sum([v for v in vars(value).values() if isinstance(v, _NUMBERS)]))
     return _finite(value.tolist())  # a numpy array or scalar
 
 

@@ -39,24 +39,13 @@ if TYPE_CHECKING:
 __all__ = _EXPORTS["monodromy"]
 
 # The Stokes algebra runs on 2x2 tuples of rows, so that the residuals and
-# the group actions run without numpy.  numpy is imported only inside the
-# functions that return arrays, and the public constant matrices SIGMA1 and
-# SIGMA3 are built as arrays on first access.
-_CONSTANTS = {
-    "SIGMA1": ((0.0, 1.0), (1.0, 0.0)),
-    "SIGMA3": ((1.0, 0.0), (0.0, -1.0)),
-}
+# the group actions run without numpy; numpy is imported only inside the
+# functions that return arrays.  The Pauli matrices sigma1 and sigma3 of the
+# semi-cyclic relation are such tuples.
+_SIGMA1 = (0.0, 1.0), (1.0, 0.0)
+_SIGMA3 = (1.0, 0.0), (0.0, -1.0)
 
 _JSON_KEYS = ("a", "s00", "s0inf", "s1inf", "g11", "g12", "g21", "g22")
-
-
-def __getattr__(name: str):
-    if name in _CONSTANTS:
-        import numpy as np
-
-        value = globals()[name] = np.array(_CONSTANTS[name], dtype=complex)
-        return value
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _matmul(*factors: tuple) -> tuple:
@@ -120,17 +109,6 @@ class MonodromyPoint:
         import numpy as np
 
         return np.array([[self.g11, self.g12], [self.g21, self.g22]], dtype=complex)
-
-
-def _finite_image(pt: MonodromyPoint) -> bool:
-    """The group actions' check: one non-finite coordinate (or a sum beyond
-    the largest float) makes the sum of the eight non-finite."""
-    return cmath.isfinite(pt.a + pt.s00 + pt.s0inf + pt.s1inf + pt.g11 + pt.g12 + pt.g21 + pt.g22)
-
-
-# a group action that fails in its arithmetic or whose image is not finite
-# raises ConditionViolationError
-_finite_action = functools.partial(errors.finite_result, finite=_finite_image)
 
 
 @dataclass(frozen=True)
@@ -320,8 +298,8 @@ def cyclic_residuals(pt: MonodromyPoint) -> tuple[float, float]:
     G = (pt.g11, pt.g12), (pt.g21, pt.g22)
     m_zero, m_inf = _monodromy_matrices(pt)
     cyc = _max_abs_diff(_matmul(G, m_inf), _matmul(m_zero, G))
-    lhs = _matmul(_inverse(G), _stokes_zero(pt, 0), _CONSTANTS["SIGMA1"], G)
-    rhs = _matmul(_stokes_inf(pt, 0), _stokes_inf(pt, 1), _CONSTANTS["SIGMA3"],
+    lhs = _matmul(_inverse(G), _stokes_zero(pt, 0), _SIGMA1, G)
+    rhs = _matmul(_stokes_inf(pt, 0), _stokes_inf(pt, 1), _SIGMA3,
                   _exp_sigma3(-cmath.pi * (pt.a - 0.5j)))
     return cyc, _max_abs_diff(lhs, rhs)
 
@@ -375,7 +353,7 @@ def _rotate_tau(pt: MonodromyPoint, p: int, l: int) -> MonodromyPoint:
     return _shift(_scale(pt, cmath.exp(0.25 * l * cmath.pi * pt.a)), (p + l) // 2)
 
 
-@_finite_action
+@errors.finite_result
 def apply_F(pt: MonodromyPoint, eps1: int, eps2: int) -> MonodromyPoint:
     """Sector-rotation action on the manifold for real-axis charts,
     indexed by ``eps1, eps2 in {0, +1, -1}``.  ``s00`` is always fixed and
@@ -398,7 +376,7 @@ def apply_F(pt: MonodromyPoint, eps1: int, eps2: int) -> MonodromyPoint:
     return pt
 
 
-@_finite_action
+@errors.finite_result
 def apply_Fhat(pt: MonodromyPoint, eps1: int, eps2: int) -> MonodromyPoint:
     """Sector-rotation action for the imaginary axes, indexed by
     ``eps1 in {+1, -1}`` and ``eps2 in {0, +1, -1}``; ``imag_chart`` rotates
@@ -431,7 +409,7 @@ def backlund_monodromy(pt: MonodromyPoint, direction: str) -> MonodromyPoint:
     )
 
 
-@_finite_action
+@errors.finite_result
 def lie_point_monodromy(pt: MonodromyPoint, kind: str, p: int = 1, l: int = 1) -> MonodromyPoint:
     """Action on the manifold of the three Lie-point symmetries:
     ``negate_tau`` (tau -> -tau), ``negate_a`` (a -> -a), and

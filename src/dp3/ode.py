@@ -98,13 +98,6 @@ class Trajectory:
     u_abs_max: float = 0.0
     wall_s: float = 0.0  # integrate_ray's wall time in seconds
 
-    def states(self) -> list[SolutionState]:
-        phis = self.phi if self.phi is not None else [None] * len(self.tau)
-        return [
-            SolutionState(complex(t), complex(u), complex(du), None if p is None else complex(p))
-            for t, u, du, p in zip(self.tau, self.u, self.du, phis)
-        ]
-
 
 def _check_state(state: SolutionState) -> tuple[complex, complex, complex]:
     if state.u == 0:

@@ -94,49 +94,49 @@ class _PCG64:
         return lo + (hi - lo) * ((x >> 11) * 2.0**-53)
 
 
-def _uniform_complex(rng, box: float) -> complex:
-    return complex(rng.uniform(-box, box), rng.uniform(-box, box))
+# The free coordinates are drawn on [-_BOX, _BOX] (real and imaginary
+# parts), Im a on [-_IM_A_MAX, _IM_A_MAX] clipped to |a|'s bound, and the
+# sampler gives up after _MAX_ATTEMPTS_PER_POINT draws per point asked for.
+_IM_A_MAX = 0.95
+_BOX = 1.2
+_MAX_ATTEMPTS_PER_POINT = 2000
+
+
+def _uniform_complex(rng) -> complex:
+    return complex(rng.uniform(-_BOX, _BOX), rng.uniform(-_BOX, _BOX))
 
 
 def sample_manifold(seed: int, count: int, branch: int,
                     abs_a_max: float = 1.0,
-                    im_a_max: float = 0.95,
                     nu_max: float | None = None,
                     re_rho_max: float | None = None,
-                    max_entry: float | None = None,
-                    box: float = 1.2,
-                    max_attempts_per_point: int = 2000) -> list[MonodromyPoint]:
+                    max_entry: float | None = None) -> list[MonodromyPoint]:
     """Draw ``count`` points on the chosen branch, free parameters uniform
     in boxes, rejection-filtered by bounds on |a|, |nu + 1| and |Re rho|
     (and optionally on the largest coordinate magnitude, which keeps
     residual evaluation well conditioned).  Reproducible per seed.
 
     Raises ``ConditionViolationError`` before drawing unless ``seed`` and
-    ``count`` are non-negative integers, ``max_attempts_per_point`` is a
-    positive integer, ``abs_a_max``, ``im_a_max`` and ``box`` lie in
-    [0, 0.5 * float max] (a zero ``abs_a_max`` draws a = 0, a zero
-    ``im_a_max`` a real ``a``), ``box`` is positive, and each optional bound
-    is ``None`` or finite and positive."""
+    ``count`` are non-negative integers, ``abs_a_max`` lies in
+    [0, 0.5 * float max] (zero draws a = 0), and each optional bound is
+    ``None`` or finite and positive."""
     if branch not in (1, 2, 3):
         raise ConditionViolationError("branch must be 1, 2 or 3")
-    for name, value, low in (("seed", seed, 0), ("count", count, 0),
-                             ("max_attempts_per_point", max_attempts_per_point, 1)):
-        if not (isinstance(value, numbers.Integral) and value >= low):
-            raise ConditionViolationError(
-                f"{name} must be a {'positive' if low else 'non-negative'} integer")
-    for name, value in (("abs_a_max", abs_a_max), ("im_a_max", im_a_max), ("box", box)):
-        if not (isinstance(value, numbers.Real) and 0 <= value <= _MAX_HALF_WIDTH):
-            raise ConditionViolationError(f"{name} must lie in [0, {_MAX_HALF_WIDTH:.4g}]")
+    for name, value in (("seed", seed), ("count", count)):
+        if not (isinstance(value, numbers.Integral) and value >= 0):
+            raise ConditionViolationError(f"{name} must be a non-negative integer")
+    if not (isinstance(abs_a_max, numbers.Real) and 0 <= abs_a_max <= _MAX_HALF_WIDTH):
+        raise ConditionViolationError(f"abs_a_max must lie in [0, {_MAX_HALF_WIDTH:.4g}]")
     # -0.0 -> 0.0; the draws take float bounds, as numpy's did
-    abs_a_max, box = float(abs(abs_a_max)), float(box)
-    im_a_max = min(abs_a_max, float(abs(im_a_max)))
-    for name, value in (("box", box), ("nu_max", nu_max), ("re_rho_max", re_rho_max),
+    abs_a_max = float(abs(abs_a_max))
+    im_a_max = min(abs_a_max, _IM_A_MAX)
+    for name, value in (("nu_max", nu_max), ("re_rho_max", re_rho_max),
                         ("max_entry", max_entry)):
         if value is not None and not (isinstance(value, numbers.Real) and 0 < value < math.inf):
             raise ConditionViolationError(f"{name} must be finite and positive")
     rng = _PCG64(seed)
     out: list[MonodromyPoint] = []
-    budget = max_attempts_per_point * max(count, 1)
+    budget = _MAX_ATTEMPTS_PER_POINT * max(count, 1)
     attempts = 0
     while len(out) < count:
         attempts += 1
@@ -149,18 +149,18 @@ def sample_manifold(seed: int, count: int, branch: int,
             continue
         try:
             if branch == 1:
-                g11 = _uniform_complex(rng, box)
-                g12 = _uniform_complex(rng, box)
-                g21 = _uniform_complex(rng, box)
+                g11 = _uniform_complex(rng)
+                g12 = _uniform_complex(rng)
+                g21 = _uniform_complex(rng)
                 if abs(g11) < 0.25:
                     continue
                 g22 = (1.0 + g12 * g21) / g11
-                if abs(g22) > 4.0 * box:
+                if abs(g22) > 4.0 * _BOX:
                     continue
                 pt = from_branch(1, a, g11=g11, g12=g12, g21=g21, g22=g22)
             else:
-                s00 = _uniform_complex(rng, box)
-                gfree = _uniform_complex(rng, box)
+                s00 = _uniform_complex(rng)
+                gfree = _uniform_complex(rng)
                 if abs(gfree) < 0.25:
                     continue
                 key = "g22" if branch == 2 else "g11"

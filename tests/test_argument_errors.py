@@ -7,16 +7,26 @@ the lattice residuals, the equation parameters, the sampler, the ray
 integrator and the grid residual raises that type.  A seed at tau = 0 and
 a matrix-entry Hamiltonian off its stratum raise ``SingularityError``, and
 a ladder seed whose rungs vanish, break down or overflow
-``LadderBreakdownError`` naming the rung."""
+``LadderBreakdownError`` naming the rung, and ladder rows with v_n = 0 or
+T_n = 0, where a lattice identity is undefined, ``ConditionViolationError``."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
-from dp3.backlund import backlund_step, ladder, lattice_residuals, lie_point_solution
+from dp3.backlund import (
+    LadderEntry,
+    backlund_step,
+    ladder,
+    lattice_residuals,
+    lie_point_solution,
+)
 from dp3.connection import verify_connection
 from dp3.errors import ConditionViolationError, LadderBreakdownError, SingularityError
 from dp3.monodromy import (
     apply_F,
+    apply_Fhat,
     backlund_monodromy,
     from_branch,
     lie_point_monodromy,
@@ -67,6 +77,7 @@ def test_unusable_arguments_raise_before_any_work(call):
     lambda: from_branch(4, 0.0, s00=1.0, g22=1.0),
     lambda: apply_F(PT, 2, 0),
     lambda: apply_F(PT, 0, 2),
+    lambda: apply_Fhat(PT, 0, 0),
     lambda: backlund_step(SEED, 0.0, P, "sideways"),
     lambda: backlund_monodromy(PT, "sideways"),
     lambda: lie_point_monodromy(PT, "rotate_tau", p=2),
@@ -82,7 +93,7 @@ def test_unusable_arguments_raise_before_any_work(call):
     lambda: integrate_ray(SEED, 0.0, P, abs(SEED.tau)),
     lambda: residual_on_grid(np.array([1.0, 2.0, 3.0j, 4.0, 5.0]), np.ones(5), 0.0, P),
 ], ids=["branch1-g11-g22-zero", "branch2-g22-zero", "unknown-branch", "F-bad-eps1",
-        "F-bad-eps2", "backlund-step-direction", "backlund-monodromy-direction",
+        "F-bad-eps2", "Fhat-bad-eps1", "backlund-step-direction", "backlund-monodromy-direction",
         "lie-monodromy-p", "lie-monodromy-l", "lie-monodromy-kind", "lie-solution-p",
         "lie-solution-l", "lie-solution-kind", "lie-solution-relabel", "toda-without-seed-eval",
         "params-eps-2", "sample-branch-4", "integrate-to-own-magnitude",
@@ -103,8 +114,15 @@ def test_argument_checks_raise_condition_violation(call):
      "rung 1 breaks down"),
     (lambda: ladder(SolutionState(1e-200, 1.0, 0.0), 0.0, P, 1), LadderBreakdownError,
      "rung 0 is not finite"),
+    (lambda: lattice_residuals([LadderEntry(n, -1j * n, SEED, v)
+                                for n, v in enumerate((1.0, 0.0, 1.0))], "km", 0.0, P),
+     ConditionViolationError, "v_1 = 0"),
+    (lambda: lattice_residuals([dataclasses.replace(e, g=0.0) if e.n == 2 else e
+                                for e in ladder(SEED, 0.0, P, 6)], "toda", 0.0, P,
+                               seed_eval=lambda tau: algebraic_solution(tau, P)),
+     ConditionViolationError, "T_2 vanishes"),
 ], ids=["integrate-from-tau-0", "abcd-off-stratum", "ladder-u-zero", "ladder-rung-breaks",
-        "ladder-rung-overflows"])
+        "ladder-rung-overflows", "km-v-zero", "toda-T-zero"])
 def test_unusable_states_raise_their_typed_error(call, error, message):
     with pytest.raises(error, match=message):
         call()

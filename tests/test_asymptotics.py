@@ -27,7 +27,7 @@ from dp3.asymptotics import (
 )
 from dp3.asymptotics import _small_brackets
 from dp3.errors import ConditionViolationError
-from dp3.monodromy import apply_F, from_branch, point_from_json, point_to_json
+from dp3.monodromy import MonodromyPoint, apply_F, from_branch, point_from_json, point_to_json
 from dp3.ode import SolutionState, hamiltonian_u
 from dp3.params import EquationParams
 
@@ -118,6 +118,14 @@ def test_u_large_degenerate_chart_rejected():
     target = dataclasses.replace(ch, nu_plus_1=0.0j, z=None)
     with pytest.raises(ConditionViolationError):
         u_large(target, 10.0)
+    # a chart built at nu + 1 = 0 (g11 g22 = 1) with nonzero off-diagonal
+    # entries (det G = 0.75, off the manifold) has no z either; its
+    # Hamiltonian is still the generic formula at nu + 1 = 0
+    ch = large_tau_chart(MonodromyPoint(0.15j, 1.0, 0j, 0j, 1.0, 0.5, 0.5, 1.0), 0, P1)
+    assert ch.special == "none" and ch.nu_plus_1 == 0 and ch.z is None
+    with pytest.raises(ConditionViolationError, match="degenerate chart"):
+        u_large(ch, 10.0)
+    assert cmath.isfinite(H_large(ch, 10.0))
 
 
 # ------------------------------------------------------------ small chart

@@ -158,8 +158,7 @@ def test_sample_deterministic(capsys):
 def test_sampling_exhaustion():
     from dp3.errors import SamplingExhaustedError
     with pytest.raises(SamplingExhaustedError):
-        sample_manifold(seed=1, count=2, branch=1, nu_max=1e-12,
-                        max_attempts_per_point=50)
+        sample_manifold(seed=1, count=2, branch=1, nu_max=1e-12)
 
 
 def test_sampling_rejects_negative_count():
@@ -170,8 +169,8 @@ def test_sampling_rejects_negative_count():
 
 @pytest.mark.parametrize("kwargs", [
     {"seed": -1}, {"seed": 1.5}, {"count": 2.5}, {"abs_a_max": float("nan")},
-    {"abs_a_max": -1.0}, {"im_a_max": float("inf")}, {"box": 0.0}, {"nu_max": float("nan")},
-    {"re_rho_max": -0.1}, {"max_entry": float("inf")}, {"max_attempts_per_point": 0},
+    {"abs_a_max": -1.0}, {"abs_a_max": float("inf")}, {"max_entry": "5"}, {"nu_max": float("nan")},
+    {"re_rho_max": -0.1}, {"max_entry": float("inf")}, {"nu_max": 0.0},
 ])
 def test_sampling_rejects_bad_arguments_before_drawing(kwargs):
     from dp3.errors import ConditionViolationError

@@ -40,6 +40,13 @@ def point_path(tmp_path_factory):
     ["lattice", "--which", "km", "--tau", "1", "--n-max", "2", "--algebraic-seed",
      "--u0", "1", "--du0", "1", *PARAMS],
     ["verify-connection", "--point", "{point}", "--tau1-steps", "2000", *PARAMS],
+    # flags that the chosen map would ignore, and Fhat without its ray
+    # (it exited 3 from the library)
+    ["monodromy", "map", "--point", "{point}", "--map", "F", "--direction", "down"],
+    ["monodromy", "map", "--point", "{point}", "--map", "backlund", "--eps1", "1", "--eps2", "1"],
+    ["monodromy", "map", "--point", "{point}", "--map", "F", "--kind", "rotate_tau", "--p", "-1"],
+    ["monodromy", "map", "--point", "{point}", "--map", "lie", "--kind", "negate_a", "--eps2", "1"],
+    ["monodromy", "map", "--point", "{point}", "--map", "Fhat"],
 ])
 def test_malformed_command_line_is_one_json_line(argv, point_path, capsys):
     code = cli.main([point_path if a == "{point}" else a for a in argv])

@@ -16,8 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dp3.monodromy import (
-    SIGMA1,
-    SIGMA3,
     apply_F,
     apply_Fhat,
     backlund_monodromy,
@@ -28,6 +26,8 @@ from dp3.sampling import sample_manifold
 
 FIELDS = ("a", "s00", "s0inf", "s1inf", "g11", "g12", "g21", "g22")
 PI = cmath.pi
+SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
+SIGMA3 = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 def rel_diff(pt, ref) -> float:

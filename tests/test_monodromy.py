@@ -13,7 +13,6 @@ import pytest
 from conftest import all_map_images
 from dp3.errors import ConditionViolationError
 from dp3.monodromy import (
-    SIGMA3,
     MonodromyPoint,
     apply_F,
     apply_Fhat,
@@ -29,6 +28,7 @@ from dp3.monodromy import (
 )
 
 FIELDS = ("a", "s00", "s0inf", "s1inf", "g11", "g12", "g21", "g22")
+SIGMA3 = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 def points_equal(p, q, tol=0.0):

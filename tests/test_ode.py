@@ -187,6 +187,18 @@ def test_stepper_nonfinite_error_stops():
     assert 1.0 <= sol.t_fail < 1.5
 
 
+def test_stepper_stalls_at_a_jump():
+    # the derivative jumps from 0 to 1e300 at t = 1.5: every step across
+    # the jump is rejected until the step falls below 10 ulp of t
+    def rhs(t, y):
+        return (0j if t < 1.5 else 1e300 + 0j,)
+
+    sol = ode.solve_ivp(ode._kernels(ode._GENERIC, 1)(rhs), (1.0, 2.0), [1.0 + 0j],
+                        rtol=1e-10, atol=1e-13)
+    assert sol.status == -1 and sol.message == "integrator stalled"
+    assert sol.t_fail == 1.4999999999999967
+
+
 # --------------------------------------------------------- DOP853 stepper
 
 def crit10_seed(tau0: float = 0.02):
@@ -243,6 +255,19 @@ def test_stepper_matches_scipy_dop853():
     assert ours.t.size == ref.t.size
     assert np.allclose(ours.t, ref.t, rtol=1e-7, atol=0.0)
     assert np.allclose(ours.y, ref.sol(grid), rtol=1e-9, atol=0.0)
+
+    # a zero derivative takes the initial-step rule's other branch (a first
+    # step of 1e-6, then each step grows by the factor cap of 10): the same
+    # steps exactly
+    def zero(s, y):
+        return (0j,)
+
+    ours = ode.solve_ivp(ode._kernels(ode._GENERIC, 1)(zero), (1.0, 2.0), [1.0 + 0j],
+                         rtol=1e-10, atol=1e-13)
+    ref = solve_ivp(lambda s, y: np.zeros(1, dtype=complex), (1.0, 2.0),
+                    np.array([1.0 + 0j]), method="DOP853", rtol=1e-10, atol=1e-13)
+    assert ours.status == 0 and ref.success
+    assert ours.t.size == 8 and ours.t.tolist() == ref.t.tolist()
 
 
 def test_integrate_backward_ray():
@@ -430,7 +455,9 @@ def test_trajectory_H_matches_hamiltonian_u_per_sample():
     seed = SolutionState(0.05, u_small(sc, 0.05), du_small(sc, 0.05))
     for dense in (None, np.linspace(0.05, 30.0, 120)):
         traj = integrate_ray(seed, pt.a, P1, 30.0, tol=1e-10, dense_at=dense)
-        per_sample = np.array([hamiltonian_u(st, pt.a, P1) for st in traj.states()])
+        per_sample = np.array([hamiltonian_u(SolutionState(complex(t), complex(u), complex(du)),
+                                             pt.a, P1)
+                               for t, u, du in zip(traj.tau, traj.u, traj.du)])
         assert np.max(np.abs(traj.H - per_sample) / np.abs(per_sample)) <= 1e-14
 
 
@@ -448,7 +475,7 @@ def test_hamiltonian_matches_canonical_channel():
                    - hamiltonian_u(st, 0.0, P1)) < 1e-13
 
 
-def test_p_from_u_hand_value_and_channel_shift():
+def test_p_from_u_hand_value():
     st = algebraic_solution(1.0, P1)
     p = p_from_u(st, 0.0, P1)
     assert abs(p - (-2.0 / 3.0 - 2.0j)) < 1e-14

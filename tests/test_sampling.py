@@ -24,8 +24,8 @@ def test_draws_equal_numpy_default_rng():
 
 
 @pytest.mark.parametrize("branch", [1, 2, 3])
-@pytest.mark.parametrize("bounds", [{}, {"abs_a_max": 0.0}, {"im_a_max": 0.0},
-                                    {"box": 2, "abs_a_max": 1}])
+@pytest.mark.parametrize("bounds", [{}, {"abs_a_max": 0.0}, {"max_entry": 2.0},
+                                    {"re_rho_max": 0.2}])
 def test_sample_manifold_equals_a_run_on_numpy(branch, bounds, monkeypatch):
     def run():
         return [point_to_json(p) for seed in (0, 17, 2**70)
